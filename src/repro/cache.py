@@ -1,13 +1,23 @@
 """Small bounded LRU cache for memoized model evaluations.
 
 Scheduling a network on an accelerator model is expensive (the DCO
-optimizer searches tiling schedules per layer), so results are
-memoized per ``(network, mode, size)``.  A production stream server
-touches an open-ended set of such keys — many resolutions, modes and
-networks over its lifetime — so the memo must be *bounded*: this LRU
-evicts the least-recently-used entry once ``maxsize`` is reached and
-reports hit/miss statistics so the serving pipeline can surface its
-cache efficiency.
+optimizer searches tiling schedules per layer), so it is memoized at
+two levels.  Each backend instance keeps its own LRU of results per
+``(network, mode, size)``, with its own hit/miss statistics.  Beneath
+it, :mod:`repro.deconv` keeps one process-wide LRU of solved schedules
+per ``(layer, HWConfig)``, which every backend and model on the same
+hardware shares.  A production stream server touches an open-ended set
+of such keys — many resolutions, modes and networks over its lifetime
+— so every memo must be *bounded*: this LRU evicts the
+least-recently-used entry once ``maxsize`` is reached and reports
+hit/miss statistics so the serving pipeline can surface its cache
+efficiency.
+
+>>> cache = LRUCache(maxsize=2)
+>>> for key in "aba":
+...     _ = cache.get_or_create(key, key.upper)
+>>> cache.cache_info()
+CacheInfo(hits=1, misses=2, maxsize=2, currsize=2)
 
 The cache is thread-safe: a stream server fans frame requests out
 across worker threads, so every public operation runs under one

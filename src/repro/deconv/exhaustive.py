@@ -10,21 +10,31 @@ same static-partition baseline scheduler).
 
 Contrast with :mod:`repro.deconv.optimizer`, which re-solves the tiling
 per layer and additionally exploits inter-layer activation reuse.
+
+Like the per-layer search, the partition search runs once per process
+for each ``(layers, hw, granularity)``, and every caller receives its
+own partition, list and schedules.
 """
 
 from __future__ import annotations
 
+from repro.cache import LRUCache
 from repro.deconv.optimizer import (
+    _build_schedule,
+    _check_model,
     _geometric_candidates,
+    _own,
     _resolve_tiles,
-    balanced_split,
-    build_schedule,
 )
 from repro.hw.config import HWConfig
 from repro.hw.schedule import LayerWork, Schedule
 from repro.hw.systolic import SystolicModel
 
 __all__ = ["Partition", "schedule_with_partition", "best_static_partition"]
+
+#: Solved whole-network partition searches kept per process.
+_PARTITION_MEMO_SIZE = 64
+_partition_memo = LRUCache(maxsize=_PARTITION_MEMO_SIZE)
 
 
 class Partition:
@@ -60,7 +70,7 @@ def _first_fit_grid(layer: LayerWork, hw: HWConfig, part: Partition):
                 geom = _resolve_tiles(layer, n_row, n_col, n_ic)
                 chunk = geom.max_tile_elems_per_channel * max(geom.ic_chunks) * bpe
                 if chunk <= part.ifmap_bytes:
-                    return n_row, n_col, n_ic, geom
+                    return geom
     return None
 
 
@@ -106,12 +116,12 @@ def schedule_with_partition(
     model: SystolicModel | None = None,
 ) -> Schedule | None:
     """Schedule one layer under a fixed buffer partition, or ``None``
-    if the partition cannot host the layer at all."""
-    model = model or SystolicModel(hw)
-    grid = _first_fit_grid(layer, hw, part)
-    if grid is None:
+    if the partition cannot host the layer at all.  ``model`` must be
+    built for ``hw``; a mismatch raises :class:`ValueError`."""
+    model = _check_model(model, hw)
+    geom = _first_fit_grid(layer, hw, part)
+    if geom is None:
         return None
-    n_row, n_col, n_ic, geom = grid
     groups = _greedy_groups(layer, geom, hw, part)
     if groups is None:
         return None
@@ -120,9 +130,8 @@ def schedule_with_partition(
     for weight_resident in (False, True):
         # resident full-I weights only fit the weight section when not chunked
         try:
-            sched = build_schedule(
-                layer, hw, n_row, n_col, n_ic, groups, weight_resident,
-                label=f"static:{part!r}",
+            sched = _build_schedule(
+                layer, geom, groups, weight_resident, label=f"static:{part!r}"
             )
             sched.validate(hw)
         except ValueError:
@@ -144,9 +153,33 @@ def best_static_partition(
     Enumerates every (ifmap, weight, ofmap) split of the usable buffer
     at bank/2 granularity, schedules the *whole network* under each,
     and returns the partition minimising total latency together with
-    its per-layer schedules.
+    its per-layer schedules.  ``model`` must be built for ``hw``; a
+    mismatch raises :class:`ValueError`.  The search runs once per
+    process for equal inputs unless ``model`` is a
+    :class:`SystolicModel` subclass.
     """
-    model = model or SystolicModel(hw)
+    model = _check_model(model, hw)
+    layers = tuple(layers)
+
+    def search() -> tuple[Partition, list[Schedule]]:
+        return _search_partition(layers, hw, model, granularity)
+
+    if type(model) is not SystolicModel:
+        return search()
+    part, schedules = _partition_memo.get_or_create(
+        (layers, hw, granularity), search
+    )
+    own_part = Partition(part.ifmap_bytes, part.weight_bytes, part.ofmap_bytes)
+    return own_part, [_own(s) for s in schedules]
+
+
+def _search_partition(
+    layers: tuple[LayerWork, ...],
+    hw: HWConfig,
+    model: SystolicModel,
+    granularity: int | None,
+) -> tuple[Partition, list[Schedule]]:
+    """The un-memoized search behind :func:`best_static_partition`."""
     # partition granularity tracks the buffer so the search always sees
     # ~12 allocation units, whatever the SRAM capacity
     gran = granularity or max(

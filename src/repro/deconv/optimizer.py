@@ -16,13 +16,22 @@ eventually be consumed.  Tile-shape and β candidates are enumerated
 (the space is small once filter packing is delegated to the knapsack)
 and each complete schedule is evaluated on the systolic latency model;
 the fastest feasible schedule wins.
+
+A schedule is a pure function of the lowered layer and the
+:class:`HWConfig`, so the search runs once per process for each
+``(layer, hw, max_candidates, beta_choices)``: every backend, model and
+figure driver on the same hardware shares the solved schedule.  Each
+caller receives its own :class:`Schedule` (fresh ``rounds``/``counts``
+lists over the shared, frozen round plans), so no caller can alter what
+the next one receives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from repro.cache import LRUCache
 from repro.hw.config import HWConfig
 from repro.hw.schedule import LayerWork, RoundPlan, Schedule, SubAllocation
 from repro.hw.systolic import SystolicModel
@@ -34,6 +43,29 @@ __all__ = [
     "optimize_layer",
     "optimize_layers",
 ]
+
+
+#: Solved layer schedules kept per process (a fixed bound: one entry per
+#: lowered layer and hardware configuration).
+_SCHEDULE_MEMO_SIZE = 1024
+_schedule_memo = LRUCache(maxsize=_SCHEDULE_MEMO_SIZE)
+
+
+def _check_model(model: SystolicModel | None, hw: HWConfig) -> SystolicModel:
+    """The model that ranks candidates; it must describe ``hw`` itself."""
+    if model is None:
+        return SystolicModel(hw)
+    if model.hw != hw:
+        raise ValueError(
+            f"model is built for {model.hw!r}, but the schedule is "
+            f"searched for {hw!r}"
+        )
+    return model
+
+
+def _own(sched: Schedule) -> Schedule:
+    """A caller-owned copy: fresh lists over the shared frozen rounds."""
+    return replace(sched, rounds=list(sched.rounds), counts=list(sched.counts))
 
 
 def balanced_split(total: int, parts: int) -> list[int]:
@@ -204,7 +236,9 @@ def _bounded_knapsack(cap, weights, values, counts):
             rem -= use
             mult *= 2
     best = [0] * (room + 1)
-    choice = [dict() for _ in range(room + 1)]
+    # choice[r]: the items behind best[r]; filled only where best[r]
+    # improves, an absent entry is the empty pick
+    choice: dict[int, dict[int, int]] = {}
     for k, use, w, v in items:
         if w > room:
             continue
@@ -212,10 +246,10 @@ def _bounded_knapsack(cap, weights, values, counts):
             cand = best[r - w] + v
             if cand > best[r]:
                 best[r] = cand
-                picked = dict(choice[r - w])
+                picked = dict(choice.get(r - w, ()))
                 picked[k] = picked.get(k, 0) + use
                 choice[r] = picked
-    for k, cnt in choice[room].items():
+    for k, cnt in choice.get(room, {}).items():
         take[k] += cnt
     return take
 
@@ -255,6 +289,17 @@ def build_schedule(
     multiplicities rather than one object per round.
     """
     geom = _resolve_tiles(layer, n_row_tiles, n_col_tiles, n_ic_chunks)
+    return _build_schedule(layer, geom, groups, weight_resident, label)
+
+
+def _build_schedule(
+    layer: LayerWork,
+    geom: _TileGeometry,
+    groups: list[tuple[int, ...]],
+    weight_resident: bool,
+    label: str,
+) -> Schedule:
+    """:func:`build_schedule` on an already resolved tile geometry."""
     subs = layer.subconvs
     n_subs = len(subs)
 
@@ -338,7 +383,7 @@ def build_schedule(
                 for gi, (group, g_count) in enumerate(_runs(groups)):
                     for ic, q_count, is_last in ic_iter():
                         w = weights_elems(group, ic)
-                        if n_ic_chunks > 1:
+                        if geom.n_ic_chunks > 1:
                             sched.add(
                                 make_plan(rk, ck, group, ic, is_last,
                                           True, w, w),
@@ -367,7 +412,7 @@ def build_schedule(
 
 
 def _candidate_grids(layer: LayerWork, hw: HWConfig):
-    """Enumerate (n_row, n_col, n_ic) grids worth evaluating."""
+    """Enumerate the tile geometries worth evaluating."""
     max_rows = max(s.out_rows for s in layer.subconvs)
     max_cols = max(s.out_cols for s in layer.subconvs)
     rows = _geometric_candidates(max_rows)
@@ -383,7 +428,7 @@ def _candidate_grids(layer: LayerWork, hw: HWConfig):
                     geom.max_tile_elems_per_channel * max(geom.ic_chunks) * bpe
                 )
                 if chunk < cap:  # leave room for >= one filter
-                    yield n_row, n_col, n_ic
+                    yield geom
 
 
 def optimize_layer(
@@ -398,39 +443,74 @@ def optimize_layer(
 
     ``beta_choices`` restricts the reuse-order variable of Eq. 7 — the
     default explores both orders; passing a single value ablates the
-    choice (used by the scheduler-ablation study).
+    choice (used by the scheduler-ablation study).  ``model`` must be
+    built for ``hw``; a mismatch raises :class:`ValueError`.
+
+    The search runs once per process for equal inputs (a ``model``
+    that is a :class:`SystolicModel` subclass bypasses the memo), and
+    every call returns a schedule of its own:
+
+    >>> from repro.deconv import lower_conv
+    >>> from repro.hw import ASV_BASE
+    >>> from repro.nn.workload import ConvSpec
+    >>> layer = lower_conv(ConvSpec("doc", 8, 8, (3, 3), (16, 24), (1, 1), (1, 1)))
+    >>> searches = _schedule_memo.cache_info().misses
+    >>> first = optimize_layer(layer, ASV_BASE)
+    >>> again = optimize_layer(layer, ASV_BASE)
+    >>> _schedule_memo.cache_info().misses - searches
+    1
+    >>> again.to_dict() == first.to_dict() and again is not first
+    True
     """
-    model = model or SystolicModel(hw)
+    model = _check_model(model, hw)
+    beta = tuple(beta_choices)
+
+    def search() -> Schedule:
+        return _search_layer(layer, hw, model, max_candidates, beta)
+
+    if type(model) is not SystolicModel:
+        return search()
+    key = (layer, hw, max_candidates, beta)
+    return _own(_schedule_memo.get_or_create(key, search))
+
+
+def _search_layer(
+    layer: LayerWork,
+    hw: HWConfig,
+    model: SystolicModel,
+    max_candidates: int,
+    beta_choices: tuple[bool, ...],
+) -> Schedule:
+    """The un-memoized tiling search behind :func:`optimize_layer`."""
     bpe = hw.bytes_per_elem
     cap = hw.usable_buffer_bytes
+    n_subs = len(layer.subconvs)
+    value = [
+        s.taps * layer.in_channels * s.out_rows * s.out_cols
+        for s in layer.subconvs
+    ]
     best = None
     best_key = None
     seen = 0
-    for n_row, n_col, n_ic in _candidate_grids(layer, hw):
-        geom = _resolve_tiles(layer, n_row, n_col, n_ic)
+    for geom in _candidate_grids(layer, hw):
         ifmap_bytes = geom.max_tile_elems_per_channel * max(geom.ic_chunks) * bpe
         budget = cap - ifmap_bytes
         if budget <= 0:
             continue
-        max_r = [geom.max_share("rows", k) for k in range(len(layer.subconvs))]
-        max_c = [geom.max_share("cols", k) for k in range(len(layer.subconvs))]
+        max_r = [geom.max_share("rows", k) for k in range(n_subs)]
+        max_c = [geom.max_share("cols", k) for k in range(n_subs)]
+        p_cost = [max_r[k] * max_c[k] * bpe for k in range(n_subs)]
         for weight_resident in beta_choices:
             ic_for_cost = (
                 layer.in_channels if weight_resident else max(geom.ic_chunks)
             )
             w_cost = [s.taps * ic_for_cost * bpe for s in layer.subconvs]
-            p_cost = [
-                max_r[k] * max_c[k] * bpe for k in range(len(layer.subconvs))
-            ]
-            value = [
-                s.taps * layer.in_channels * s.out_rows * s.out_cols
-                for s in layer.subconvs
-            ]
             try:
                 groups = pack_filter_groups(layer, budget, w_cost, p_cost, value)
-                sched = build_schedule(
-                    layer, hw, n_row, n_col, n_ic, groups, weight_resident,
-                    label=f"r{n_row}c{n_col}i{n_ic}b{int(weight_resident)}",
+                sched = _build_schedule(
+                    layer, geom, groups, weight_resident,
+                    label=f"r{geom.n_row_tiles}c{geom.n_col_tiles}"
+                    f"i{geom.n_ic_chunks}b{int(weight_resident)}",
                 )
                 sched.validate(hw)
             except ValueError:
@@ -451,5 +531,5 @@ def optimize_layers(
     layers, hw: HWConfig, model: SystolicModel | None = None
 ) -> list[Schedule]:
     """Optimize a lowered network layer by layer (layer-wise execution)."""
-    model = model or SystolicModel(hw)
+    model = _check_model(model, hw)
     return [optimize_layer(l, hw, model) for l in layers]

@@ -1,25 +1,32 @@
 """Tests for lowering, the tiling optimizer and the static baseline."""
 
+import hashlib
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import get_backend
 from repro.deconv import (
     balanced_split,
     best_static_partition,
+    exhaustive,
     lower_conv,
     lower_naive_deconv,
     lower_network,
     lower_spec,
     lower_transformed,
     optimize_layer,
+    optimize_layers,
+    optimizer,
     pack_filter_groups,
     schedule_with_partition,
 )
 from repro.deconv.exhaustive import Partition
 from repro.hw import ASV_BASE, SystolicModel
+from repro.models.stereo_networks import network_specs
 from repro.nn.workload import ConvSpec
 
 HW = ASV_BASE
@@ -173,6 +180,61 @@ class TestKnapsack:
         assert len(large) <= len(small)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cap=st.integers(1, 400),
+        items=st.lists(
+            st.tuples(st.integers(0, 60), st.integers(0, 100), st.integers(0, 20)),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_lazy_choice_table_matches_eager_reference(self, cap, items):
+        weights, values, counts = (list(col) for col in zip(*items))
+        assert optimizer._bounded_knapsack(cap, weights, values, counts) == (
+            _eager_knapsack(cap, weights, values, counts)
+        )
+
+
+def _eager_knapsack(cap, weights, values, counts):
+    """``_bounded_knapsack`` with its choice table built up front: the
+    reference the lazily filled table must match."""
+    n = len(weights)
+    take = [0] * n
+    room = cap
+    for k in sorted(range(n), key=lambda k: -weights[k]):
+        if counts[k] == 0 or weights[k] == 0:
+            continue
+        fit = min(counts[k], room // weights[k])
+        take[k] = fit
+        room -= fit * weights[k]
+    if room == 0:
+        return take
+    items = []
+    for k in range(n):
+        rem = counts[k] - take[k]
+        mult = 1
+        while rem > 0:
+            use = min(mult, rem)
+            items.append((k, use, weights[k] * use, values[k] * use))
+            rem -= use
+            mult *= 2
+    best = [0] * (room + 1)
+    choice = [dict() for _ in range(room + 1)]
+    for k, use, w, v in items:
+        if w > room:
+            continue
+        for r in range(room, w - 1, -1):
+            cand = best[r - w] + v
+            if cand > best[r]:
+                best[r] = cand
+                picked = dict(choice[r - w])
+                picked[k] = picked.get(k, 0) + use
+                choice[r] = picked
+    for k, cnt in choice[room].items():
+        take[k] += cnt
+    return take
+
+
 class TestOptimizer:
     def test_schedule_valid_for_conv(self):
         work = lower_conv(conv_spec())
@@ -284,3 +346,68 @@ class TestStaticPartitionBaseline:
         work = lower_conv(spec)
         tiny_part = Partition(8 * 1024, 4 * 1024, 4 * 1024)
         assert schedule_with_partition(work, HW, tiny_part, MODEL) is None
+
+
+class TestModelMismatch:
+    """A model built for other hardware would rank candidates by the
+    wrong latency model, so every search entry point fails closed."""
+
+    OTHER = SystolicModel(HW.with_resources(pe_rows=12, pe_cols=12))
+
+    def test_optimize_layer(self):
+        with pytest.raises(ValueError, match="model is built for"):
+            optimize_layer(lower_conv(conv_spec()), HW, self.OTHER)
+
+    def test_optimize_layers(self):
+        with pytest.raises(ValueError, match="model is built for"):
+            optimize_layers([lower_conv(conv_spec())], HW, self.OTHER)
+
+    def test_schedule_with_partition(self):
+        part = Partition(256 * 1024, 256 * 1024, 256 * 1024)
+        with pytest.raises(ValueError, match="model is built for"):
+            schedule_with_partition(lower_conv(conv_spec()), HW, part, self.OTHER)
+
+    def test_best_static_partition(self):
+        with pytest.raises(ValueError, match="model is built for"):
+            best_static_partition([lower_conv(conv_spec())], HW, self.OTHER)
+
+
+#: SHA-256 of ``repr(network_result("DispNet", mode, PIN_SIZE).layers)``,
+#: recorded from the search before it was memoized
+PIN_SIZE = (68, 120)
+PINNED_RESULTS = {
+    ("systolic", "baseline"): "29f326a05ee6a64eb8e51e030e31c1cfba8ee61e6bdd18e5a7835460f4152b0f",
+    ("systolic", "dct"): "9cd8c64b1a8676c54bb1eacf511248e09485640bab69469b7ec361ef591bdf86",
+    ("systolic", "convr"): "535320f3d6610ef4b969fbca21926437ffed63052c9a42b0ce66acbebc6a28e5",
+    ("systolic", "ilar"): "7479cbc68e929b9fe6920a39f368927c2cbc13bfe97ae8fd017cb698c98a0f45",
+    ("eyeriss", "baseline"): "d3ac3eca632b673c6c41e446672f1602a040ccbe7fad327c961020a31cf9b36f",
+    ("eyeriss", "dct"): "166a563296c5fa00329bce178430a037e03fd086a2bf36529df144c20059adda",
+}
+#: SHA-256 of the JSON of DispNet's ILAR schedules at ``PIN_SIZE``
+PINNED_ILAR_SCHEDULES = "27b01434c85ae0d31c09e1b309769ef2847b76ff5c3de8cf17af5b1f3fcbd649"
+
+
+class TestPinnedSchedules:
+    @staticmethod
+    def _digests():
+        def sha(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        results = {
+            (name, mode): sha(repr(
+                get_backend(name).network_result("DispNet", mode, PIN_SIZE).layers
+            ))
+            for name, mode in PINNED_RESULTS
+        }
+        layers = lower_network(
+            network_specs("DispNet", PIN_SIZE), transform=True, ilar=True
+        )
+        schedules = sha(json.dumps([s.to_dict() for s in optimize_layers(layers, HW)]))
+        return results, schedules
+
+    def test_cold_and_warm_passes_match_the_pins(self):
+        optimizer._schedule_memo.clear()
+        exhaustive._partition_memo.clear()
+        cold = self._digests()
+        assert cold == (PINNED_RESULTS, PINNED_ILAR_SCHEDULES)
+        assert self._digests() == cold
