@@ -9,9 +9,9 @@ Two layers:
 * the **tiled execution bench** measures what
   :class:`repro.parallel.TileExecutor` buys on this machine, in
   before/after form: each matcher runs whole-frame (*serial*), tiled
-  with the legacy pickled transport and one band per worker
-  (*pickle*, the "before"), and with the autotuned band size plus the
-  shared-memory transport (*tuned*, the "after").  The
+  with one band per worker (``tile_rows=None``, *per-worker*, the
+  "before"), and tiled with the autotuned band size (*tuned*, the
+  "after"), both through the same shared-memory process pool.  The
   seam-equivalence contract is asserted for both tiled configs
   (bit-identical output — this is the part CI smoke-runs), every
   latency lands in ``benchmarks/results/BENCH_kernels.json``, and the
@@ -57,7 +57,7 @@ from repro.flow import (
     poly_expansion,
 )
 from repro.nn.ops import deconvnd
-from repro.parallel import TileExecutor, shm_available
+from repro.parallel import TileExecutor
 from repro.parallel.autotune import tuned_tile_rows
 from repro.stereo import block_match, guided_block_match, sgm
 from repro.stereo import block_matching as bm_mod
@@ -287,14 +287,14 @@ def test_tiled_execution_speedup_and_seams(save_table):
     segments_before = _shm_segments()
     serial = TileExecutor(workers=1)
     rows, records = [], {}
-    # before: legacy transport (pickled band arrays), one band per
-    # worker; after: autotuned band size + shared-memory transport
-    with TileExecutor(workers=WORKERS, pool="process", tile_rows=None,
-                      transport="pickle") as pickled, \
+    # before: one band per worker; after: autotuned band size (both
+    # on the shared-memory process pool)
+    with TileExecutor(workers=WORKERS, pool="process",
+                      tile_rows=None) as per_worker, \
          TileExecutor(workers=WORKERS, pool="process") as tuned:
         for name, size, _frame_obj, call in _tiled_cases():
             want = call(serial)
-            for label, ex in (("pickle", pickled), ("tuned", tuned)):
+            for label, ex in (("per-worker", per_worker), ("tuned", tuned)):
                 got = call(ex)
                 # seam equivalence is the part that gates CI — tile
                 # seams must be bit-identical to whole-frame execution
@@ -302,21 +302,21 @@ def test_tiled_execution_speedup_and_seams(save_table):
                     f"{name}/{label}: tiled output differs from whole-frame"
                 )
             t_serial = _clock(lambda: call(serial), reps=2)
-            t_pickle = _clock(lambda: call(pickled), reps=2)
+            t_per_worker = _clock(lambda: call(per_worker), reps=2)
             t_tuned = _clock(lambda: call(tuned), reps=2)
             records[name] = {
                 "size": list(size),
                 "tuned_tile_rows": tuned_tile_rows(name, size, WORKERS),
                 "serial_s": t_serial,
-                "pickle_s": t_pickle,
+                "per_worker_s": t_per_worker,
                 "tuned_s": t_tuned,
-                "speedup_pickle": t_serial / t_pickle,
+                "speedup_per_worker": t_serial / t_per_worker,
                 "speedup": t_serial / t_tuned,
                 "seam_identical": True,
             }
             rows.append(
                 [name, f"{size[0]}x{size[1]}",
-                 1e3 * t_serial, 1e3 * t_pickle, 1e3 * t_tuned,
+                 1e3 * t_serial, 1e3 * t_per_worker, 1e3 * t_tuned,
                  t_serial / t_tuned, "yes"]
             )
 
@@ -325,7 +325,6 @@ def test_tiled_execution_speedup_and_seams(save_table):
         "bench": "kernels",
         "workers": WORKERS,
         "pool": "process",
-        "transport": "shm" if shm_available() else "pickle",
         "cpu_count": os.cpu_count(),
         "max_disp": FULL_MAX_DISP,
         "smoke_size_cap": os.environ.get("ASV_BENCH_SIZE"),
@@ -343,7 +342,7 @@ def test_tiled_execution_speedup_and_seams(save_table):
             f"{os.cpu_count()} cores (speedup = serial/tuned; "
             f"machine-dependent, asserted only with "
             f"ASV_BENCH_ASSERT_SPEEDUP=1)",
-            ["kernel", "frame", "serial ms", "pickle ms", "tuned ms",
+            ["kernel", "frame", "serial ms", "per-worker ms", "tuned ms",
              "speedup", "seam-identical"],
             rows,
         ),
@@ -353,7 +352,7 @@ def test_tiled_execution_speedup_and_seams(save_table):
           f"{aggregation['vectorization_speedup']:.1f}x over scalar DP; "
           f"fused vs composed: {aggregation['fused_vs_composed']:.2f}x")
 
-    # the shm transport must leave /dev/shm exactly as it found it
+    # shared-memory band jobs must leave /dev/shm exactly as they found it
     segments_after = _shm_segments()
     if segments_before is not None:
         leaked = segments_after - segments_before

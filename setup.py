@@ -4,9 +4,6 @@ setup(
     name="asv-repro",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    # the DSE-tuned TileExecutor band-size table rides along with the
-    # code (regenerate: python -m repro.parallel.autotune)
-    package_data={"repro.parallel": ["tuned_configs.json"]},
     install_requires=["numpy", "scipy"],
     python_requires=">=3.10",
 )

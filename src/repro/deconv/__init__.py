@@ -4,7 +4,7 @@
   rewriting (DCT) and its numeric gather path.
 * :mod:`repro.deconv.lowering` — layer geometry to schedulable work.
 * :mod:`repro.deconv.optimizer` — the constrained-optimization tiling
-  scheduler with the greedy-DP knapsack filter packer (ConvR/ILAR).
+  scheduler with the greedy knapsack filter packer (ConvR/ILAR).
 * :mod:`repro.deconv.exhaustive` — the baseline static-partition
   scheduler with exhaustive offline partition search.
 """

@@ -8,11 +8,14 @@ round (the vector C of Eq. 11), and the reuse order β (Eq. 7).
 
 Following the paper, the filter allocation is solved as a Knapsack:
 each filter of each sub-kernel is an item whose *weight* is its buffer
-footprint and whose *value* is the MACs it retires.  A greedy solver
-that prioritises filters from large sub-kernels runs standard dynamic
-programming over the (discretised) capacity, and is applied iteratively
-until every filter is scheduled — unlike 0/1 Knapsack, all items must
-eventually be consumed.  Tile-shape and β candidates are enumerated
+footprint in (discretised) capacity units.  A greedy pass that
+prioritises filters from large sub-kernels fills one group at a time,
+and is applied iteratively until every filter is scheduled — unlike
+0/1 Knapsack, all items must eventually be consumed.  The paper follows
+the greedy pass with dynamic programming over the residual capacity;
+here every weight is at least one unit, so the greedy pass already
+leaves less room than any unscheduled filter needs and that refinement
+could never add one.  Tile-shape and β candidates are enumerated
 (the space is small once filter packing is delegated to the knapsack)
 and each complete schedule is evaluated on the systolic latency model;
 the fastest feasible schedule wins.
@@ -162,9 +165,8 @@ def pack_filter_groups(
     capacity_bytes: int,
     weight_cost_per_filter: list[int],
     psum_cost_per_filter: list[int],
-    value_per_filter: list[int],
 ) -> list[tuple[int, ...]]:
-    """Iterated greedy-DP knapsack over filters (paper's solver).
+    """Iterated greedy knapsack over filters (paper's solver).
 
     Returns a list of *groups*; each group is a per-sub-conv filter
     count tuple.  Every filter appears in exactly one group.  Within a
@@ -180,77 +182,45 @@ def pack_filter_groups(
             f"({capacity_bytes} B < {min(cost)} B)"
         )
 
-    # discretise capacity so the DP stays small; ceil keeps it safe
+    # discretise capacity to ~2048 units (the pinned schedules depend on
+    # this rounding); ceil keeps every filter's footprint safe
     scale = max(1, capacity_bytes // 2048)
     cap = capacity_bytes // scale
     scaled = [max(1, math.ceil(c / scale)) for c in cost]
 
     groups: list[tuple[int, ...]] = []
     while any(remaining):
-        take = _bounded_knapsack(cap, scaled, value_per_filter, remaining)
+        take = _bounded_knapsack(cap, scaled, remaining)
         if not any(take):
-            # capacity fits some filter type but DP chose nothing only if
-            # every remaining type is too large — force smallest
+            # the greedy pass skips a type only when it outweighs the
+            # whole (discretised) capacity: name the smallest such type
             k = min(
                 (k for k in range(n_subs) if remaining[k]),
                 key=lambda k: scaled[k],
             )
-            if scaled[k] > cap:
-                raise ValueError(f"{layer.name}: filter of sub {k} cannot fit")
-            take = [0] * n_subs
-            take[k] = 1
+            raise ValueError(f"{layer.name}: filter of sub {k} cannot fit")
         groups.append(tuple(take))
         for k in range(n_subs):
             remaining[k] -= take[k]
     return groups
 
 
-def _bounded_knapsack(cap, weights, values, counts):
-    """Maximise value under ``cap`` with per-type counts.
+def _bounded_knapsack(cap, weights, counts):
+    """Fill ``cap`` with up to ``counts[k]`` items of each type, greedily.
 
-    Greedy pre-pass in decreasing item size (the paper's 'prioritise
-    filters from large sub-kernels'), then a DP refinement over the
-    residual capacity using binary-split bounded items.
+    Items go in decreasing size (the paper's 'prioritise filters from
+    large sub-kernels').  With every weight at least 1, each type left
+    unfinished weighs more than the room that remains, so the result is
+    maximal: no further item fits.
     """
-    n = len(weights)
-    take = [0] * n
-    # greedy: large sub-kernels (heavier filters) first
-    order = sorted(range(n), key=lambda k: -weights[k])
+    take = [0] * len(weights)
     room = cap
-    for k in order:
+    for k in sorted(range(len(weights)), key=lambda k: -weights[k]):
         if counts[k] == 0 or weights[k] == 0:
             continue
         fit = min(counts[k], room // weights[k])
         take[k] = fit
         room -= fit * weights[k]
-    if room == 0:
-        return take
-    # DP refinement on what is still unscheduled, over the residual room
-    items = []
-    for k in range(n):
-        rem = counts[k] - take[k]
-        mult = 1
-        while rem > 0:
-            use = min(mult, rem)
-            items.append((k, use, weights[k] * use, values[k] * use))
-            rem -= use
-            mult *= 2
-    best = [0] * (room + 1)
-    # choice[r]: the items behind best[r]; filled only where best[r]
-    # improves, an absent entry is the empty pick
-    choice: dict[int, dict[int, int]] = {}
-    for k, use, w, v in items:
-        if w > room:
-            continue
-        for r in range(room, w - 1, -1):
-            cand = best[r - w] + v
-            if cand > best[r]:
-                best[r] = cand
-                picked = dict(choice.get(r - w, ()))
-                picked[k] = picked.get(k, 0) + use
-                choice[r] = picked
-    for k, cnt in choice.get(room, {}).items():
-        take[k] += cnt
     return take
 
 
@@ -485,10 +455,6 @@ def _search_layer(
     bpe = hw.bytes_per_elem
     cap = hw.usable_buffer_bytes
     n_subs = len(layer.subconvs)
-    value = [
-        s.taps * layer.in_channels * s.out_rows * s.out_cols
-        for s in layer.subconvs
-    ]
     best = None
     best_key = None
     seen = 0
@@ -506,7 +472,7 @@ def _search_layer(
             )
             w_cost = [s.taps * ic_for_cost * bpe for s in layer.subconvs]
             try:
-                groups = pack_filter_groups(layer, budget, w_cost, p_cost, value)
+                groups = pack_filter_groups(layer, budget, w_cost, p_cost)
                 sched = _build_schedule(
                     layer, geom, groups, weight_resident,
                     label=f"r{geom.n_row_tiles}c{geom.n_col_tiles}"

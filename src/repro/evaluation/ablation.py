@@ -6,7 +6,7 @@ transformed deconvolution group:
 
 * **β (reuse order, Eq. 7)** — forcing ifmap-resident or
   weight-resident scheduling versus letting the optimizer choose;
-* **knapsack filter packing** — the paper's greedy-DP packer versus a
+* **knapsack filter packing** — the paper's greedy packer versus a
   degenerate one-filter-per-round packer (the value of batching
   filters against the buffer);
 * **static partition** — the per-layer optimizer versus the baseline's

@@ -93,7 +93,7 @@ def run_fig1(
     ``workers > 1`` runs the kernel-backed classic points (BM and the
     SGM configurations) through a tiled multi-core
     :class:`~repro.parallel.TileExecutor` with its autotuned band
-    sizes (``tile_rows="auto"``) and shared-memory transport; the
+    sizes (``tile_rows="auto"``) on a shared-memory process pool; the
     numbers are bit-identical either way.
     """
     scale = scale or default_scale()

@@ -10,11 +10,10 @@ them across a process/thread pool, and stitches results that are
 **bit-identical** to whole-frame execution (pinned by
 ``tests/test_parallel.py``; design notes in ``docs/performance.md``).
 
-Two transports feed the pools: pickling (the classic baseline) and
-named shared memory (:mod:`repro.parallel.shm`), which passes buffer
-names instead of arrays; the default band sizes come from the
-design-space-explored table in :mod:`repro.parallel.autotune`
-(``tile_rows="auto"``).
+Process-pool jobs receive named shared memory
+(:mod:`repro.parallel.shm`) instead of pickled arrays, and the default
+band sizes come from the analytical model in
+:mod:`repro.parallel.autotune` (``tile_rows="auto"``).
 
 >>> from repro.parallel import TileExecutor, available_kernels
 >>> available_kernels()
@@ -43,12 +42,10 @@ _SHM_EXPORTS = ("ShmArena", "ShmHandle", "shm_available")
 
 
 def __getattr__(name: str) -> Any:
-    # Lazy for two reasons: `python -m repro.parallel.autotune` must not
-    # re-execute a module the package import already pulled in, and the
-    # kernel modules (`repro.stereo`, `repro.flow`) import their stencil
-    # declarations from `repro.parallel.tiles` — an eager executor import
-    # here would close an import cycle back into those half-initialised
-    # modules.
+    # Lazy because the kernel modules (`repro.stereo`, `repro.flow`)
+    # import their stencil declarations from `repro.parallel.tiles` — an
+    # eager executor import here would close an import cycle back into
+    # those half-initialised modules.
     if name in _AUTOTUNE_EXPORTS:
         from repro.parallel import autotune
 

@@ -8,20 +8,23 @@ latency estimates (its ``effective_dram_est`` discounts raw DRAM
 bandwidth by how well a transfer's burst length amortises the fixed
 access latency) and only ever builds the winner.  This module is the
 same idea for the software substrate: a :class:`LatencyModel` with
-per-band compute, pool-dispatch and transport terms (the bandwidth
-terms use the same burst-amortisation form), an exhaustive
+per-band compute, pool-dispatch and shared-memory transfer terms (the
+bandwidth terms use the same burst-amortisation form), an exhaustive
 :func:`search_config` over ``(tile_rows, workers, pool, precision)``,
-and a pre-built table shipped as package data
-(``tuned_configs.json``) that ``TileExecutor(tile_rows="auto")`` —
-the default — consumes at run time.
+and :func:`tuned_tile_rows`, the band height
+``TileExecutor(tile_rows="auto")`` — the default — asks for at run
+time.  It searches at the nearest point of a fixed frame-size ×
+worker-count grid and memoizes each point's pick per process, so a
+grid point costs one search (well under a millisecond) per process.
 
 The model is deliberately coarse: its job is to rank configurations,
 not to predict wall-clock to the millisecond.  What matters is that it
-captures the three first-order effects the benchmarks show — pickling
-whole volumes swamps band compute, many tiny bands pay dispatch
-overhead per band, and one-band-per-worker leaves load imbalance on
-the table — and that it is **deterministic**: the same model always
-produces the same table (pinned by ``tests/test_autotune.py``).
+captures the three first-order effects the benchmarks show — moving
+whole volumes between processes rivals band compute, many tiny bands
+pay dispatch overhead per band, and one-band-per-worker leaves load
+imbalance on the table — and that it is **deterministic**: the same
+model always produces the same picks (pinned by
+``tests/test_autotune.py``).
 
 >>> cfg = search_config("sgm", (270, 480), workers=4)
 >>> cfg.workers, cfg.pool
@@ -32,11 +35,9 @@ True
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
+from functools import cache
 
 from repro.flow.farneback import farneback_ops
 from repro.stereo.block_matching import block_match_ops, guided_block_match_ops
@@ -45,20 +46,16 @@ from repro.stereo.sgm import sgm_ops
 __all__ = [
     "LatencyModel",
     "TileConfig",
-    "build_table",
-    "load_table",
     "predict_latency",
-    "save_table",
     "search_config",
-    "table_path",
     "tuned_tile_rows",
 ]
 
-#: frame sizes the shipped table is built for; lookups snap to the
+#: frame sizes :func:`tuned_tile_rows` searches at; lookups snap to the
 #: nearest size by area, so off-grid frames still get a sane config
 SIZES = ((96, 160), (270, 480), (540, 960), (1080, 1920))
 
-#: worker counts the shipped table is built for
+#: worker counts :func:`tuned_tile_rows` searches at
 WORKER_GRID = (1, 2, 4, 8, 16)
 
 #: candidate band heights the search scans (clamped to the frame)
@@ -92,7 +89,7 @@ class LatencyModel:
     The defaults describe a commodity multi-core host; they are
     deliberately round numbers — the search only needs the *ratios*
     (compute per op, bytes per second, seconds per dispatch) to rank
-    configurations, and the table records the model it was built with.
+    configurations.
     """
 
     #: sustained NumPy elementwise throughput of one core, Gop/s
@@ -103,8 +100,6 @@ class LatencyModel:
     burst_latency_us: float = 50.0
     #: pool submit + result round trip per job, µs
     dispatch_us: float = 200.0
-    #: pickle + pipe + unpickle throughput (serial in the parent), GB/s
-    pickle_gbs: float = 1.2
     #: copy into / out of shared-memory segments, GB/s
     shm_gbs: float = 6.0
     #: shared-memory segment open + mmap per attach, µs
@@ -196,11 +191,11 @@ def predict_latency(
 ) -> float:
     """Predicted seconds for one tiled kernel invocation.
 
-    ``workers=1`` models the inline path (no pool, no transport, no
-    halo recompute).  Multi-worker process pools are modelled with the
-    shared-memory transport the executor uses by default: inputs are
-    shared once, band payloads land in one output segment, and only
-    the SGM direction fan-out moves whole volumes.
+    ``workers=1`` models the inline path (no pool, no shared memory,
+    no halo recompute).  Multi-worker process pools are modelled the
+    way the executor runs them: inputs are shared once, band payloads
+    land in one output segment, and only the SGM direction fan-out
+    moves whole volumes.
     """
     if kernel not in _PROFILES:
         raise ValueError(f"unknown kernel {kernel!r}; choose from {sorted(_PROFILES)}")
@@ -261,9 +256,9 @@ def search_config(
 ) -> TileConfig:
     """Exhaustively score the design space and return the winner.
 
-    ``workers`` pins the worker count (the per-worker-count table
-    entries use this — an executor's pool size is the user's choice);
-    ``None`` searches it too.  Ties break deterministically toward
+    ``workers`` pins the worker count (:func:`tuned_tile_rows` uses
+    this — an executor's pool size is the user's choice); ``None``
+    searches it too.  Ties break deterministically toward
     fewer workers, larger bands, ``process``, ``float64``.
     """
     h, w = size
@@ -302,104 +297,37 @@ def search_config(
     return best[1]
 
 
-def build_table(
-    model: LatencyModel = DEFAULT_MODEL,
-    sizes: tuple = SIZES,
-    worker_grid: tuple = WORKER_GRID,
-) -> dict:
-    """The full tuned-config table (JSON-serialisable, deterministic).
+@cache
+def _grid_pick(kernel: str, size: tuple[int, int], workers: int) -> int:
+    """The searched band height at one grid point, once per process."""
+    return search_config(kernel, size, workers).tile_rows
 
-    Per kernel and frame size: the unconstrained ``best`` config, plus
-    ``by_workers`` entries pinning each worker count of the grid —
-    the ``tile_rows="auto"`` lookup reads the entry matching the
-    executor's own pool size.
+
+def _nearest_size(size: tuple[int, int]) -> tuple[int, int]:
+    """The grid size closest to ``size`` by log-area distance.
+
+    Exact ties (an area at the geometric mean of two grid areas, such
+    as 360x720) go to the size whose ``"HxW"`` name sorts first.
     """
-    kernels = {}
-    for kernel in sorted(_PROFILES):
-        per_size = {}
-        for size in sizes:
-            per_size[f"{size[0]}x{size[1]}"] = {
-                "best": asdict(search_config(kernel, size, None, model)),
-                "by_workers": {
-                    str(wk): asdict(search_config(kernel, size, wk, model))
-                    for wk in worker_grid
-                },
-            }
-        kernels[kernel] = per_size
-    return {"model": asdict(model), "kernels": kernels}
-
-
-def table_path() -> Path:
-    """Location of the tuned table shipped as package data."""
-    return Path(__file__).with_name("tuned_configs.json")
-
-
-def save_table(table: dict, path: str | Path | None = None) -> Path:
-    """Write a table as pretty JSON (stable key order)."""
-    path = Path(path) if path is not None else table_path()
-    path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-_loaded_table: dict | None = None
-
-
-def load_table(path: str | Path | None = None) -> dict:
-    """Load a tuned table; the shipped default is cached per process."""
-    global _loaded_table
-    if path is not None:
-        return json.loads(Path(path).read_text())
-    if _loaded_table is None:
-        shipped = table_path()
-        _loaded_table = (
-            json.loads(shipped.read_text()) if shipped.exists() else build_table()
-        )
-    return _loaded_table
-
-
-def _nearest_size_key(entries: dict, size: tuple[int, int]) -> str:
-    """The table size key closest to ``size`` (by log-area distance)."""
     area = max(1, size[0] * size[1])
-
-    def distance(key: str) -> tuple[float, str]:
-        kh, kw = key.split("x")
-        return abs(math.log(int(kh) * int(kw)) - math.log(area)), key
-
-    return min(sorted(entries), key=distance)
-
-
-def tuned_tile_rows(
-    kernel: str, size: tuple[int, int], workers: int, pool: str = "process"
-) -> int | None:
-    """Band height the tuned table recommends, or ``None`` if unknown.
-
-    Snaps to the nearest tabulated frame size and worker count (ties
-    toward fewer workers), because the executor must band *this* frame
-    for *its* pool.  ``None`` — an unknown kernel or an empty table —
-    falls back to the executor's one-band-per-worker default.
-    """
-    table = load_table()
-    entries = table.get("kernels", {}).get(kernel)
-    if not entries:
-        return None
-    sized = entries[_nearest_size_key(entries, size)]
-    by_workers = sized.get("by_workers", {})
-    if not by_workers:
-        return None
-    nearest = min(sorted(by_workers, key=int), key=lambda k: abs(int(k) - workers))
-    return int(by_workers[nearest]["tile_rows"])
-
-
-def main(argv: list[str] | None = None) -> None:
-    """Regenerate the shipped table: ``python -m repro.parallel.autotune``."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out", default=None, help="output path (default: the package-data table)"
+    return min(
+        SIZES,
+        key=lambda s: (abs(math.log(s[0] * s[1]) - math.log(area)), f"{s[0]}x{s[1]}"),
     )
-    args = parser.parse_args(argv)
-    path = save_table(build_table(), args.out)
-    print(f"wrote {path}")
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def tuned_tile_rows(kernel: str, size: tuple[int, int], workers: int) -> int | None:
+    """Band height the model picks, or ``None`` for an unknown kernel.
+
+    Snaps to the nearest grid frame size and worker count (ties toward
+    fewer workers) and returns that point's :func:`search_config`
+    pick, because the executor must band *this* frame for *its* pool.
+    ``None`` falls back to the executor's one-band-per-worker default.
+
+    >>> tuned_tile_rows("sgm", (280, 470), 4)   # snaps to 270x480
+    24
+    """
+    if kernel not in _PROFILES:
+        return None
+    nearest_workers = min(WORKER_GRID, key=lambda w: abs(w - workers))
+    return _grid_pick(kernel, _nearest_size(size), nearest_workers)

@@ -18,7 +18,8 @@ pool, then stitches the bands back together.  The result is
 * the cost volumes' box filter computes each output as an independent
   window sum (:func:`repro.stereo.block_matching._box_mean`), so its
   rounding cannot depend on where a band starts;
-* bands are stitched in order with plain concatenation.
+* every band writes only its own payload rows of one preallocated
+  output.
 
 SGM is the exception that proves the halo rule: its path aggregation
 is a whole-image dynamic program (a vertical path runs top to bottom),
@@ -29,22 +30,22 @@ both embarrassingly parallel — and sums the per-direction volumes in
 the same order :func:`~repro.stereo.sgm.sgm` does, keeping
 bit-identity without approximating the DP.
 
-Two knobs govern *how* the work is fanned out.  ``transport`` selects
-how arrays reach process-pool workers: ``"pickle"`` serialises them
-through the pool pipes, ``"shm"`` passes :mod:`repro.parallel.shm`
-buffer names instead (the workers map the parent's pages), and the
-default ``"auto"`` uses shared memory whenever a process pool is
-actually in play.  ``tile_rows="auto"`` (the default) sizes the row
-bands from the design-space-explored table in
-:mod:`repro.parallel.autotune` instead of the one-band-per-worker
-fallback.  Neither knob affects the computed values — every transport
-and banding produces bit-identical output, pinned by the
-seam-equivalence tests.
+Each band job has one shape, whatever the pool.  On a multi-worker
+process pool every input is shared once through
+:mod:`repro.parallel.shm`: jobs receive
+:class:`~repro.parallel.shm.ShmHandle` names instead of arrays (the
+workers map the parent's pages) and write their payload rows into one
+output segment.  Inline and on a thread pool the same jobs receive
+the arrays themselves and write into a preallocated array.
+``tile_rows="auto"`` (the default) sizes the row bands with the
+analytical model in :mod:`repro.parallel.autotune` instead of the
+one-band-per-worker fallback.  Neither the pool nor the banding
+affects the computed values, pinned by the seam-equivalence tests.
 
-``workers=1`` executes inline (no pool, no pickling, no shared
-memory) and is the reference the seam-equivalence tests pin every
-multi-worker configuration against.  The ``precision`` knob selects
-the cost-volume dtype for every kernel the executor runs.
+``workers=1`` executes inline (no pool, no shared memory) and is the
+reference the seam-equivalence tests pin every multi-worker
+configuration against.  The ``precision`` knob selects the
+cost-volume dtype for every kernel the executor runs.
 
 >>> import numpy as np
 >>> from repro.datasets import sceneflow_scene
@@ -60,6 +61,7 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from itertools import islice
 from typing import Any, Callable, Iterator, Sequence
@@ -143,7 +145,7 @@ _BAND_KERNELS: dict[str, Callable[..., np.ndarray]] = {
     "sad_cost": sad_cost_volume,
 }
 
-#: band-kernel name -> the kernel name the autotuned table is keyed by
+#: band-kernel name -> the kernel name the autotuner models it as
 _TUNE_KEYS = {
     "sad_cost": "sgm",
     "census_coded": "census",
@@ -156,8 +158,6 @@ _POOLS: dict[str, Callable[..., Executor]] = {
     "thread": ThreadPoolExecutor,
 }
 
-_TRANSPORTS = ("auto", "pickle", "shm")
-
 
 def available_kernels() -> tuple[str, ...]:
     """Names accepted by :meth:`TileExecutor.kernel`.
@@ -168,131 +168,109 @@ def available_kernels() -> tuple[str, ...]:
     return ("bm", "census", "guided", "sgm")
 
 
-def _run_band(
-    kernel: str,
-    arrays: Sequence[np.ndarray],
-    kwargs: dict,
-    crop: tuple[int, int],
+def _operand(stack: ExitStack, ref: np.ndarray | ShmHandle) -> np.ndarray:
+    """The array a job reads or writes: ``ref`` itself, or the shared
+    segment it names, mapped until ``stack`` closes."""
+    if isinstance(ref, ShmHandle):
+        return stack.enter_context(attached(ref))
+    return ref
+
+
+def _write_rows(
+    out: np.ndarray | ShmHandle,
+    part: np.ndarray,
     row_axis: int,
-) -> np.ndarray:
-    """Execute one haloed band and crop it back to its payload rows.
-
-    Top-level so process pools can pickle the job; the kernel is named
-    rather than passed.
-    """
-    out = _BAND_KERNELS[kernel](*arrays, **kwargs)
-    index = (slice(None),) * row_axis + (slice(*crop),)
-    return out[index]
-
-
-def _run_band_shm(
-    kernel: str,
-    handles: Sequence[ShmHandle],
-    lo: int,
-    hi: int,
-    kwargs: dict,
-    crop: tuple[int, int],
-    row_axis: int,
-    out_handle: ShmHandle,
     start: int,
+    label: str,
 ) -> None:
-    """Shared-memory twin of :func:`_run_band`.
-
-    Inputs arrive as segment handles plus the band's row range; the
-    cropped payload is written straight into its rows of the full-size
-    output segment.  Nothing but the handles crosses the pool pipe —
-    the return value is ``None``.
-    """
+    """Copy a band's payload into its rows of the output, starting at
+    row ``start`` (claimed first when the shm sanitizer is armed)."""
     with ExitStack() as stack:
-        arrays = tuple(stack.enter_context(attached(h))[lo:hi] for h in handles)
-        out = _BAND_KERNELS[kernel](*arrays, **kwargs)
-        del arrays
-    part = out[(slice(None),) * row_axis + (slice(*crop),)]
-    with attached(out_handle) as dest:
+        dest = _operand(stack, out)
         rows = (slice(None),) * row_axis
         rows += (slice(start, start + part.shape[row_axis]),)
         if sanitize_enabled():
-            claim_region(dest, rows, label=f"{kernel} band")
+            claim_region(dest, rows, label=label)
         np.copyto(dest[rows], part)
 
 
-def _flow_band(
-    A1b: np.ndarray,
-    b1b: np.ndarray,
-    A2: np.ndarray,
-    b2: np.ndarray,
-    flowb: np.ndarray,
-    window_sigma: float,
-    row0: int,
+def _run_band(
+    kernel: str,
+    inputs: Sequence[np.ndarray | ShmHandle],
+    lo: int,
+    hi: int,
+    kwargs: dict,
     crop: tuple[int, int],
-) -> np.ndarray:
-    """One banded Farneback iteration (top-level for pickling).
+    row_axis: int,
+    out: np.ndarray | ShmHandle,
+    start: int,
+) -> None:
+    """Execute one haloed band and write its payload rows into ``out``.
 
-    ``A1``/``b1``/``flow`` arrive as haloed row bands; ``A2``/``b2``
-    stay whole-frame because the warp gathers reach anywhere in the
-    frame, and ``row0`` anchors the band's coordinates globally (see
-    :func:`repro.flow.farneback.flow_iteration`).
+    The job slices rows ``[lo, hi)`` of every whole-frame input, keeps
+    the ``crop`` rows of the kernel's output and writes them at row
+    ``start`` of ``out``.  Top-level so process pools can pickle the
+    job: the kernel is named rather than passed, and on a process pool
+    every operand is a :class:`~repro.parallel.shm.ShmHandle`, so only
+    names cross the pool pipe.
     """
-    out = flow_iteration(A1b, b1b, A2, b2, flowb, window_sigma=window_sigma, row0=row0)
-    return out[slice(*crop)]
+    with ExitStack() as stack:
+        arrays = tuple(_operand(stack, a)[lo:hi] for a in inputs)
+        part = _BAND_KERNELS[kernel](*arrays, **kwargs)
+        del arrays
+    part = part[(slice(None),) * row_axis + (slice(*crop),)]
+    _write_rows(out, part, row_axis, start, label=f"{kernel} band")
 
 
-def _flow_band_shm(
-    handles: Sequence[ShmHandle],
+def _flow_band(
+    inputs: Sequence[np.ndarray | ShmHandle],
     lo: int,
     hi: int,
     window_sigma: float,
     crop: tuple[int, int],
-    out_handle: ShmHandle,
+    out: np.ndarray | ShmHandle,
     start: int,
 ) -> None:
-    """Shared-memory twin of :func:`_flow_band`.
+    """One banded Farneback iteration, written into ``out``.
 
-    All five inputs are shared whole-frame once; each job slices its
-    own ``A1``/``b1``/``flow`` rows out of the mapped segments (the
-    warp reads ``A2``/``b2`` globally either way) and writes its
-    payload rows straight into the full-size flow output segment.
+    ``inputs`` are the whole-frame ``A1, b1, A2, b2, flow``.  The job
+    slices its own ``A1``/``b1``/``flow`` rows; ``A2``/``b2`` stay
+    whole-frame because the warp gathers reach anywhere in the frame,
+    and ``row0`` anchors the band's coordinates globally (see
+    :func:`repro.flow.farneback.flow_iteration`).
     """
     with ExitStack() as stack:
-        A1, b1, A2, b2, flow = (stack.enter_context(attached(h)) for h in handles)
-        out = flow_iteration(
+        A1, b1, A2, b2, flow = (_operand(stack, a) for a in inputs)
+        part = flow_iteration(
             A1[lo:hi], b1[lo:hi], A2, b2, flow[lo:hi],
             window_sigma=window_sigma, row0=lo,
         )
         del A1, b1, A2, b2, flow
-    part = out[slice(*crop)]
-    with attached(out_handle) as dest:
-        rows = (slice(start, start + part.shape[0]),)
-        if sanitize_enabled():
-            claim_region(dest, rows, label="flow band")
-        np.copyto(dest[rows], part)
+    _write_rows(out, part[slice(*crop)], 0, start, label="flow band")
 
 
 def _run_direction(
-    cost: np.ndarray, dy: int, dx: int, p1: float, p2: float
-) -> np.ndarray:
-    """One SGM path-direction aggregation (top-level for pickling)."""
-    return aggregate_path(cost, dy, dx, p1, p2)
-
-
-def _run_direction_shm(
-    cost_handle: ShmHandle,
+    cost: np.ndarray | ShmHandle,
     dy: int,
     dx: int,
     p1: float,
     p2: float,
-    out_handle: ShmHandle,
-) -> None:
-    """Shared-memory twin of :func:`_run_direction`.
+    slot: ShmHandle | None = None,
+) -> np.ndarray | None:
+    """One SGM path-direction aggregation.
 
-    The cost volume is attached read-only by name (every direction job
-    maps the same pages) and the aggregated volume lands in the
-    caller's output slot segment.
+    Inline and on threads the aggregated volume is returned.  On a
+    process pool ``cost`` names the shared cost volume (every direction
+    job maps the same pages) and the result lands in the caller's
+    ``slot`` segment instead.
     """
-    with attached(cost_handle) as cost:
-        part = aggregate_path(cost, dy, dx, p1, p2)
-    with attached(out_handle) as out:
-        np.copyto(out, part)
+    with ExitStack() as stack:
+        part = aggregate_path(_operand(stack, cost), dy, dx, p1, p2)
+    if slot is None:
+        return part
+    with attached(slot) as dest:
+        np.copyto(dest, part)
+    return None
 
 
 def _band_output(
@@ -317,38 +295,32 @@ class TileExecutor:
         path, no pool — and is the bit-identical reference.
     pool:
         ``"process"`` (default; real multi-core) or ``"thread"`` (no
-        pickling; NumPy releases the GIL in the heavy ops, so scaling
-        is workload-dependent).
+        shared memory needed; NumPy releases the GIL in the heavy ops,
+        so scaling is workload-dependent).  A multi-worker process
+        pool moves every operand through POSIX shared memory, so on a
+        platform without it construction raises ``ValueError``.
     tile_rows:
-        Rows per band.  ``"auto"`` (default) looks the band size up in
-        the autotuned config table (:mod:`repro.parallel.autotune`)
-        for this kernel, frame size and worker count; ``None`` cuts
-        one band per worker; a small explicit value exercises many
-        more bands than workers (the seam-equivalence tests use this).
+        Rows per band.  ``"auto"`` (default) asks the analytical
+        model (:mod:`repro.parallel.autotune`) for this kernel, frame
+        size and worker count; ``None`` cuts one band per worker; a
+        small explicit value exercises many more bands than workers
+        (the seam-equivalence tests use this).
     precision:
         Cost-volume dtype knob, ``"float64"`` (default) or
         ``"float32"``, passed to every kernel the executor runs.
-    transport:
-        How arrays reach process-pool workers.  ``"auto"`` (default)
-        uses shared memory whenever a process pool is in play and
-        falls back to pickling otherwise; ``"pickle"`` and ``"shm"``
-        force one or the other.  Thread pools share the address space
-        already, so ``"shm"`` demands a process pool.
 
     The pool is created lazily on first multi-band call; use the
     executor as a context manager (or call :meth:`close`) to release
-    worker processes deterministically.
+    worker processes deterministically.  A pool whose worker died is
+    dropped as the error propagates, and the next call builds a fresh
+    one.
 
     >>> TileExecutor(workers=2, pool="thread", tile_rows=8)
-    TileExecutor(workers=2, pool='thread', tile_rows=8, precision='float64', transport='auto')
+    TileExecutor(workers=2, pool='thread', tile_rows=8, precision='float64')
     >>> TileExecutor(pool="greenlet")
     Traceback (most recent call last):
         ...
     ValueError: pool must be one of ('process', 'thread'), got 'greenlet'
-    >>> TileExecutor(transport="carrier-pigeon")
-    Traceback (most recent call last):
-        ...
-    ValueError: transport must be one of ('auto', 'pickle', 'shm'), got 'carrier-pigeon'
     """
 
     def __init__(
@@ -357,7 +329,6 @@ class TileExecutor:
         pool: str = "process",
         tile_rows: int | str | None = "auto",
         precision: str = "float64",
-        transport: str = "auto",
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -368,40 +339,25 @@ class TileExecutor:
         if tile_rows is not None and tile_rows != "auto":
             if not isinstance(tile_rows, int) or tile_rows < 1:
                 raise ValueError("tile_rows must be a positive int, 'auto' or None")
-        if transport not in _TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {_TRANSPORTS}, got {transport!r}"
-            )
-        if transport == "shm" and pool != "process":
-            raise ValueError(
-                "transport='shm' requires pool='process'; thread workers "
-                "already share the address space"
-            )
         resolve_precision(precision)  # validate eagerly
         self.workers = int(workers)
         self.pool = pool
         self.tile_rows = tile_rows
         self.precision = precision
-        self.transport = transport
-        # resolved once: shared memory moves data only when a process
-        # pool is actually in play (workers=1 stays inline on purpose)
-        self._shm = (
-            transport != "pickle"
-            and pool == "process"
-            and self.workers > 1
-            and shm_available()
-        )
-        if transport == "shm" and self.workers > 1 and not self._shm:
-            raise ValueError(  # pragma: no cover - platform-dependent
-                "shared memory is not available on this platform"
+        # band jobs get ShmHandles only on a real process pool;
+        # workers=1 stays inline on purpose
+        self._shm = pool == "process" and self.workers > 1
+        if self._shm and not shm_available():
+            raise ValueError(
+                "pool='process' with workers > 1 needs POSIX shared memory, "
+                "which this platform lacks; use pool='thread'"
             )
         self._pool: Executor | None = None
 
     def __repr__(self) -> str:
         return (
             f"TileExecutor(workers={self.workers}, pool={self.pool!r}, "
-            f"tile_rows={self.tile_rows!r}, precision={self.precision!r}, "
-            f"transport={self.transport!r})"
+            f"tile_rows={self.tile_rows!r}, precision={self.precision!r})"
         )
 
     # ------------------------------------------------------------------
@@ -427,12 +383,15 @@ class TileExecutor:
         Lazy so reducers (the SGM direction sum) can consume one
         result at a time, and **bounded**: at most ``workers`` jobs
         are in flight at once.  Eager submission would hold every
-        job's payload alive simultaneously — for the SGM fan-out that
-        was all 8 pickled cost-volume copies — and the bound is also
-        what lets the shared-memory path cycle ``workers`` output
-        slots.  The next job is submitted only after the previous
-        result has been *consumed* (the generator is resumed), so a
-        yielded buffer is never overwritten while the caller reads it.
+        job's payload alive simultaneously, and the bound is also
+        what lets the SGM fan-out cycle ``workers`` output slots.  The
+        next job is submitted only after the previous result has been
+        *consumed* (the generator is resumed), so a yielded buffer is
+        never overwritten while the caller reads it.
+
+        A worker that dies mid-job breaks the whole process pool: the
+        broken pool is shut down without waiting and forgotten before
+        the error propagates, so the next call starts a fresh one.
         """
         if self.workers == 1 or len(jobs) == 1:
             for job in jobs:
@@ -442,18 +401,19 @@ class TileExecutor:
         if pool is None:
             pool = self._pool = _POOLS[self.pool](max_workers=self.workers)
         queue = iter(jobs)
-        pending = deque(
-            pool.submit(fn, *job) for job in islice(queue, self.workers)
-        )
-        while pending:
-            yield pending.popleft().result()
-            job = next(queue, None)
-            if job is not None:
-                pending.append(pool.submit(fn, *job))
-
-    def _map(self, fn: Callable[..., Any], jobs: list[tuple]) -> list:
-        """Run ``fn`` over argument tuples, results in job order."""
-        return list(self._iter_map(fn, jobs))
+        try:
+            pending = deque(
+                pool.submit(fn, *job) for job in islice(queue, self.workers)
+            )
+            while pending:
+                yield pending.popleft().result()
+                job = next(queue, None)
+                if job is not None:
+                    pending.append(pool.submit(fn, *job))
+        except BrokenProcessPool:
+            pool.shutdown(wait=False)
+            self._pool = None
+            raise
 
     # ------------------------------------------------------------------
     # row-band tiling
@@ -468,19 +428,62 @@ class TileExecutor:
             from repro.parallel.autotune import tuned_tile_rows
 
             tile_rows = tuned_tile_rows(
-                _TUNE_KEYS.get(kernel, kernel),
-                frame_shape[:2],
-                self.workers,
-                self.pool,
+                _TUNE_KEYS.get(kernel, kernel), frame_shape[:2], self.workers
             )
             if tile_rows is not None:
-                # the table is tuned at its own grid sizes; on a frame
-                # smaller than the snapped entry, never cut fewer bands
-                # than there are workers
+                # the model is searched at its own grid sizes; on a
+                # frame smaller than the snapped point, never cut fewer
+                # bands than there are workers
                 tile_rows = min(tile_rows, -(-height // self.workers))
         if tile_rows is not None:
             return -(-height // tile_rows)  # ceil
         return self.workers
+
+    def _fan_out(
+        self,
+        job: Callable[..., None],
+        arrays: Sequence[np.ndarray],
+        out_shape: tuple[int, ...],
+        out_dtype: np.dtype,
+        make_jobs: Callable[[tuple, Any], list[tuple]],
+        label: str,
+        arena: ShmArena | None = None,
+    ) -> Any:
+        """Run the band jobs ``make_jobs(inputs, out)`` builds into one
+        output and return it.
+
+        On a multi-worker process pool every input is shared once and
+        the jobs receive handles, writing into one output segment that
+        is copied out once at the end.  Inline and on threads they
+        receive the arrays and write into a preallocated array, which
+        is returned as is.  An ``arena`` keeps a process pool's output
+        in shared memory, as :meth:`_tiled` describes.
+        """
+        with ExitStack() as stack:
+            if self._shm:
+                local = arena if arena is not None else stack.enter_context(ShmArena())
+                inputs: tuple[np.ndarray | ShmHandle, ...] = tuple(
+                    local.share(a) for a in arrays
+                )
+                handle, view = local.alloc(out_shape, out_dtype)
+                out: np.ndarray | ShmHandle = handle
+            else:
+                inputs = tuple(arrays)
+                out = view = np.empty(out_shape, out_dtype)
+            sanitize = sanitize_enabled() and arm_segment(view)
+            for _ in self._iter_map(job, make_jobs(inputs, out)):
+                pass
+            if sanitize:
+                assert_covered(view, label=label)
+            if not self._shm:
+                return view
+            for ref in inputs:  # free the input frames early
+                local.release(ref)
+            if arena is not None:
+                return handle
+            result = view.copy()
+            del view
+            return result
 
     def _tiled(
         self,
@@ -491,79 +494,39 @@ class TileExecutor:
         row_axis: int = 0,
         arena: ShmArena | None = None,
     ) -> Any:
-        """Run ``kernel`` over haloed row bands and stitch the payloads.
+        """Run ``kernel`` over haloed row bands into one output.
 
-        With the shared-memory transport the inputs are shared once,
-        whole-frame, and every band writes its payload straight into
-        its rows of one full-size output segment — no per-band pickling
-        and no parent-side concatenation.  Passing an ``arena`` asks
-        for the output *in shared memory*: the return value becomes
-        ``(view, handle)`` and the caller owns the segment through the
-        arena (the SGM adapter reuses the cost volume's segment for
-        the direction fan-out without another copy).
+        A single band calls the kernel directly on the whole frame;
+        more bands go through :meth:`_fan_out`.  Passing an ``arena``
+        asks for the output in the form a later job receives: on a
+        process pool a handle to its segment, owned by the arena (the
+        SGM adapter hands the cost volume to its direction jobs without
+        another copy), otherwise the array itself.
         """
         arrays = tuple(np.asarray(a) for a in arrays)
         height = arrays[0].shape[0]
         bands = split_rows(height, self._n_bands(height, kernel, arrays[0].shape), halo)
-        if len(bands) == 1 or not self._shm:
-            if len(bands) == 1:
-                out = _run_band(kernel, arrays, kwargs, bands[0].crop, row_axis)
-            else:
-                parts = self._map(
-                    _run_band,
-                    [
-                        (
-                            kernel,
-                            tuple(a[band.lo : band.hi] for a in arrays),
-                            kwargs,
-                            band.crop,
-                            row_axis,
-                        )
-                        for band in bands
-                    ],
-                )
-                out = np.concatenate(parts, axis=row_axis)
-            if arena is None:
-                return out
-            handle, view = arena.alloc(out.shape, out.dtype)
-            np.copyto(view, out)
-            return view, handle
-        local = arena if arena is not None else ShmArena()
-        try:
-            in_handles = tuple(local.share(a) for a in arrays)
+        if len(bands) > 1:
             out_shape, out_dtype = _band_output(kernel, arrays, kwargs)
-            out_handle, out_view = local.alloc(out_shape, out_dtype)
-            sanitize = sanitize_enabled() and arm_segment(out_view)
-            for _ in self._iter_map(
-                _run_band_shm,
-                [
-                    (
-                        kernel,
-                        in_handles,
-                        band.lo,
-                        band.hi,
-                        kwargs,
-                        band.crop,
-                        row_axis,
-                        out_handle,
-                        band.start,
-                    )
+            return self._fan_out(
+                _run_band,
+                arrays,
+                out_shape,
+                out_dtype,
+                lambda inputs, out: [
+                    (kernel, inputs, band.lo, band.hi, kwargs, band.crop,
+                     row_axis, out, band.start)
                     for band in bands
                 ],
-            ):
-                pass
-            if sanitize:
-                assert_covered(out_view, label=f"{kernel} output")
-            for handle in in_handles:  # free the input frames early
-                local.release(handle)
-            if arena is not None:
-                return out_view, out_handle
-            out = out_view.copy()
-            del out_view
+                label=f"{kernel} output",
+                arena=arena,
+            )
+        out = _BAND_KERNELS[kernel](*arrays, **kwargs)
+        if arena is None or not self._shm:
             return out
-        finally:
-            if arena is None:
-                local.close()
+        handle, view = arena.alloc(out.shape, out.dtype)
+        np.copyto(view, out)
+        return handle
 
     # ------------------------------------------------------------------
     # the four matchers
@@ -671,13 +634,13 @@ class TileExecutor:
         per-direction volumes are summed in :func:`~repro.stereo.sgm.
         sgm`'s direction order so the result stays bit-identical.
 
-        With the shared-memory transport the cost volume is built
-        straight into a shared segment; every direction job attaches
-        the same pages by name (nothing is pickled per direction) and
-        writes its aggregated volume into one of ``min(workers,
-        paths)`` cycled output slots — the bounded :meth:`_iter_map`
-        guarantees a slot's previous result is consumed before the job
-        that reuses it is submitted.
+        On a process pool the cost volume is built straight into a
+        shared segment; every direction job maps the same pages by
+        name and writes its aggregated volume into one of
+        ``min(workers, paths)`` cycled output slots — the bounded
+        :meth:`_iter_map` guarantees a slot's previous result is
+        consumed before the job that reuses it is submitted.  Inline
+        and on threads each direction job returns its volume.
         """
         if paths not in (2, 4, 8):
             raise ValueError("paths must be 2, 4 or 8")
@@ -685,25 +648,8 @@ class TileExecutor:
             max_disp=max_disp, block_size=block_size, precision=self.precision
         )
         directions = _DIRECTIONS_8[:paths]
-        if not self._shm:
-            cost = self._tiled(
-                "sad_cost",
-                (left, right),
-                cost_kwargs,
-                halo=BLOCK_STENCIL.halo(block_size=block_size),
-                row_axis=1,
-            )
-            total = np.zeros_like(cost)
-            # consume lazily, in sgm()'s direction order: bit-identical
-            # summation while holding one aggregated volume at a time
-            for part in self._iter_map(
-                _run_direction,
-                [(cost, dy, dx, p1, p2) for dy, dx in directions],
-            ):
-                total += part
-            return wta_disparity(total, subpixel)
         with ShmArena() as arena:
-            cost_view, cost_handle = self._tiled(
+            cost = self._tiled(
                 "sad_cost",
                 (left, right),
                 cost_kwargs,
@@ -711,20 +657,19 @@ class TileExecutor:
                 row_axis=1,
                 arena=arena,
             )
-            n_slots = min(self.workers, len(directions))
-            slots = [
-                arena.alloc(cost_view.shape, cost_view.dtype) for _ in range(n_slots)
-            ]
-            total = np.zeros_like(cost_view)
-            del cost_view
+            n_slots = min(self.workers, len(directions)) if self._shm else 0
+            slots = [arena.alloc(cost.shape, cost.dtype) for _ in range(n_slots)]
+            total = np.zeros(cost.shape, cost.dtype)
             jobs = [
-                (cost_handle, dy, dx, p1, p2, slots[i % n_slots][0])
+                (cost, dy, dx, p1, p2, slots[i % n_slots][0] if slots else None)
                 for i, (dy, dx) in enumerate(directions)
             ]
-            for i, _ in enumerate(self._iter_map(_run_direction_shm, jobs)):
-                np.add(total, slots[i % n_slots][1], out=total)
+            # consume lazily, in sgm()'s direction order: bit-identical
+            # summation while holding one aggregated volume at a time
+            for i, part in enumerate(self._iter_map(_run_direction, jobs)):
+                np.add(total, slots[i % n_slots][1] if slots else part, out=total)
             slots.clear()
-            return wta_disparity(total, subpixel)
+        return wta_disparity(total, subpixel)
 
     # ------------------------------------------------------------------
     # the non-key flow kernels
@@ -817,40 +762,17 @@ class TileExecutor:
         bands = split_rows(height, self._n_bands(height, "flow", flow.shape), halo)
         if len(bands) == 1:
             return flow_iteration(A1, b1, A2, b2, flow, window_sigma=window_sigma)
-        if not self._shm:
-            parts = self._map(
-                _flow_band,
-                [
-                    (
-                        A1[band.lo : band.hi],
-                        b1[band.lo : band.hi],
-                        A2,
-                        b2,
-                        flow[band.lo : band.hi],
-                        window_sigma,
-                        band.lo,
-                        band.crop,
-                    )
-                    for band in bands
-                ],
-            )
-            return np.concatenate(parts, axis=0)
-        with ShmArena() as arena:
-            handles = tuple(arena.share(a) for a in (A1, b1, A2, b2, flow))
-            out_handle, out_view = arena.alloc(flow.shape, flow.dtype)
-            sanitize = sanitize_enabled() and arm_segment(out_view)
-            for _ in self._iter_map(
-                _flow_band_shm,
-                [
-                    (handles, band.lo, band.hi, window_sigma, band.crop,
-                     out_handle, band.start)
-                    for band in bands
-                ],
-            ):
-                pass
-            if sanitize:
-                assert_covered(out_view, label="flow output")
-            return out_view.copy()
+        return self._fan_out(
+            _flow_band,
+            (A1, b1, A2, b2, flow),
+            flow.shape,
+            flow.dtype,
+            lambda inputs, out: [
+                (inputs, band.lo, band.hi, window_sigma, band.crop, out, band.start)
+                for band in bands
+            ],
+            label="flow output",
+        )
 
     def flow_from_expansions(
         self,

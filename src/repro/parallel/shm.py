@@ -1,12 +1,10 @@
 """Shared-memory transport for tiled kernel jobs.
 
-Process-pool band jobs used to receive their inputs (and return their
-outputs) by pickling whole arrays through the pool's pipes — for the
-SGM direction fan-out that meant serialising the full ``(D, H, W)``
-cost volume once per direction.  This module moves the arrays into
-named POSIX shared memory instead: jobs are handed an
-:class:`ShmHandle` (name + shape + dtype — a few hundred bytes) and
-map the same physical pages the parent wrote.
+Process-pool band jobs never receive arrays through the pool's pipes
+(for the SGM direction fan-out that would serialise the full
+``(D, H, W)`` cost volume once per direction).  They are handed an
+:class:`ShmHandle` (name + shape + dtype — a few hundred bytes) of a
+named POSIX shared-memory segment and map the pages the parent wrote.
 
 Lifecycle: the parent side owns every segment through an
 :class:`ShmArena` — it creates, unlinks, and closes them, and a
@@ -114,17 +112,18 @@ def _close_quietly(seg: shared_memory.SharedMemory) -> None:
 # the opt-in write-overlap sanitizer (ASV_SHM_SANITIZE=1)
 # ----------------------------------------------------------------------
 #
-# Band jobs write disjoint row ranges of one full-size output segment;
-# nothing *enforces* the disjointness — a banding bug would make two
-# jobs race on the same rows and the corruption would only surface as a
-# wrong pixel somewhere downstream.  With ``ASV_SHM_SANITIZE=1`` the
-# parent arms each float output segment by filling it with NaN (the
-# "unwritten" sentinel — no tiled kernel produces NaN, which
-# :func:`assert_covered` re-checks), every band job *claims* its target
-# region by asserting it is still all-NaN before writing, and the
-# parent asserts full coverage (no sentinel left) after the last job.
-# Claimed-before-write + fully-covered-after == the bands partition the
-# output.  The SGM direction fan-out is exempt by design: its jobs
+# Band jobs write disjoint row ranges of one full-size output (a shared
+# segment on a process pool, a preallocated array inline and on
+# threads); nothing *enforces* the disjointness — a banding bug would
+# make two jobs race on the same rows and the corruption would only
+# surface as a wrong pixel somewhere downstream.  With
+# ``ASV_SHM_SANITIZE=1`` the parent arms each float output by filling it
+# with NaN (the "unwritten" sentinel — no tiled kernel produces NaN,
+# which :func:`assert_covered` re-checks), every band job *claims* its
+# target region by asserting it is still all-NaN before writing, and
+# the parent asserts full coverage (no sentinel left) after the last
+# job.  Claimed-before-write + fully-covered-after == the bands
+# partition the output.  The SGM direction fan-out is exempt by design: its jobs
 # rewrite whole cycled slots, serialised by the bounded ``_iter_map``.
 
 

@@ -198,13 +198,9 @@ class QualityProbe:
         ``workers > 1``.
     tile_rows:
         Band height for the tiled kernels; the default ``"auto"``
-        consumes the design-space-explored table in
-        :mod:`repro.parallel.autotune` for this worker count and
-        frame size (see :class:`~repro.parallel.TileExecutor`).
-    transport:
-        How arrays reach process-pool workers — ``"auto"`` (default,
-        shared memory when a process pool is in play), ``"pickle"``
-        or ``"shm"``.
+        asks the analytical model in :mod:`repro.parallel.autotune`
+        for this worker count and frame size (see
+        :class:`~repro.parallel.TileExecutor`).
 
     >>> QualityProbe(matcher="sgm").matcher_name
     'sgm'
@@ -228,7 +224,6 @@ class QualityProbe:
         precision: str = "float64",
         pool: str = "process",
         tile_rows: int | str | None = "auto",
-        transport: str = "auto",
     ) -> None:
         if matcher not in _MATCHER_NAMES:
             raise ValueError(
@@ -249,7 +244,6 @@ class QualityProbe:
             pool=pool,
             tile_rows=tile_rows,
             precision=precision,
-            transport=transport,
         )
         self.matcher = self.executor.kernel(matcher)
         self.max_disp = max_disp
@@ -312,7 +306,7 @@ class QualityProbe:
         # the whole non-key path runs through the executor: tiled
         # guided refinement and tiled Farneback flow (bit-identical to
         # the single-core path, so scores replay byte-identically
-        # across worker/transport configurations)
+        # across worker configurations)
         ism = ISM(
             lambda f: self.matcher(f.left, f.right, self.max_disp),
             config=config,

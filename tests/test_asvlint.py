@@ -18,12 +18,13 @@ Three layers, mirroring ``docs/static-analysis.md``:
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.parallel.executor import _BAND_KERNELS, _run_band_shm, TileExecutor
+from repro.parallel.executor import _BAND_KERNELS, _run_band, TileExecutor
 from repro.parallel.shm import (
     ShmArena,
     ShmSanitizeError,
@@ -424,39 +425,53 @@ def test_arm_claim_and_coverage_primitives(monkeypatch):
     assert not arm_segment(np.empty((2, 2), dtype=np.int64))
 
 
-@needs_shm
-def test_sanitizer_catches_overlapping_band(monkeypatch):
+#: the output targets a band job writes into: a shared segment (process
+#: pools) or a preallocated array (inline and thread pools)
+_TARGETS = [pytest.param("shm", marks=needs_shm), "ndarray"]
+
+
+@contextmanager
+def _band_operands(target, img):
+    """``(inputs, out, view)`` for band jobs over ``img``: handles to
+    shared segments, or the arrays themselves."""
+    if target == "ndarray":
+        view = np.empty(img.shape, np.float64)
+        yield (img,), view, view
+        return
+    with ShmArena() as arena:
+        out, view = arena.alloc(img.shape, np.float64)
+        yield (arena.share(img),), out, view
+
+
+@pytest.mark.parametrize("target", _TARGETS)
+def test_sanitizer_catches_overlapping_band(monkeypatch, target):
     # a deliberately buggy banding: two jobs whose output rows overlap
     monkeypatch.setenv("ASV_SHM_SANITIZE", "1")
     monkeypatch.setitem(
         _BAND_KERNELS, "stub", lambda a, **kw: np.array(a, dtype=np.float64)
     )
-    with ShmArena() as arena:
-        img = np.arange(40.0).reshape(8, 5)
-        in_handle = arena.share(img)
-        out_handle, out_view = arena.alloc((8, 5), np.float64)
-        assert arm_segment(out_view)
-        _run_band_shm("stub", (in_handle,), 0, 4, {}, (0, 4), 0, out_handle, 0)
+    img = np.arange(40.0).reshape(8, 5)
+    with _band_operands(target, img) as (inputs, out, view):
+        assert arm_segment(view)
+        _run_band("stub", inputs, 0, 4, {}, (0, 4), 0, out, 0)
         with pytest.raises(ShmSanitizeError, match="disjoint"):
             # writes rows 2:6 — rows 2:4 already belong to the first band
-            _run_band_shm("stub", (in_handle,), 2, 6, {}, (0, 4), 0, out_handle, 2)
+            _run_band("stub", inputs, 2, 6, {}, (0, 4), 0, out, 2)
 
 
-@needs_shm
-def test_sanitizer_passes_disjoint_bands(monkeypatch):
+@pytest.mark.parametrize("target", _TARGETS)
+def test_sanitizer_passes_disjoint_bands(monkeypatch, target):
     monkeypatch.setenv("ASV_SHM_SANITIZE", "1")
     monkeypatch.setitem(
         _BAND_KERNELS, "stub", lambda a, **kw: np.array(a, dtype=np.float64)
     )
-    with ShmArena() as arena:
-        img = np.arange(40.0).reshape(8, 5)
-        in_handle = arena.share(img)
-        out_handle, out_view = arena.alloc((8, 5), np.float64)
-        assert arm_segment(out_view)
-        _run_band_shm("stub", (in_handle,), 0, 4, {}, (0, 4), 0, out_handle, 0)
-        _run_band_shm("stub", (in_handle,), 4, 8, {}, (0, 4), 0, out_handle, 4)
-        assert_covered(out_view)
-        assert np.array_equal(out_view, img)
+    img = np.arange(40.0).reshape(8, 5)
+    with _band_operands(target, img) as (inputs, out, view):
+        assert arm_segment(view)
+        _run_band("stub", inputs, 0, 4, {}, (0, 4), 0, out, 0)
+        _run_band("stub", inputs, 4, 8, {}, (0, 4), 0, out, 4)
+        assert_covered(view)
+        assert np.array_equal(view, img)
 
 
 @needs_shm
@@ -467,7 +482,7 @@ def test_real_kernels_bit_identical_under_sanitizer(monkeypatch, kernel):
 
     frame = sceneflow_scene(5, size=(25, 36), max_disp=10).render(0)
     with TileExecutor(workers=1) as ref_ex, TileExecutor(
-        workers=2, transport="shm", tile_rows=7
+        workers=2, tile_rows=7
     ) as ex:
         ref = ref_ex.kernel(kernel)(frame.left, frame.right, 10)
         out = ex.kernel(kernel)(frame.left, frame.right, 10)
@@ -636,11 +651,11 @@ def test_asv006_executor_call_sites_verify_on_committed_tree():
 # ASV007 shm write-region safety (flow-sensitive)
 # ----------------------------------------------------------------------
 _OVERLAP_FIXTURE = """\
-from repro.parallel.executor import _run_band_shm
+from repro.parallel.executor import _run_band
 
 def overlapping_bands(in_handle, out_handle):
-    _run_band_shm("stub", (in_handle,), 0, 4, {}, (0, 4), 0, out_handle, 0)
-    _run_band_shm("stub", (in_handle,), 2, 6, {}, (0, 4), 0, out_handle, 2)
+    _run_band("stub", (in_handle,), 0, 4, {}, (0, 4), 0, out_handle, 0)
+    _run_band("stub", (in_handle,), 2, 6, {}, (0, 4), 0, out_handle, 2)
 """
 
 
@@ -656,12 +671,12 @@ def test_asv007_accepts_disjoint_and_exclusive_bands():
     disjoint = _OVERLAP_FIXTURE.replace("(0, 4), 0, out_handle, 2", "(2, 4), 0, out_handle, 4")
     assert lint_source(disjoint, rel="repro/parallel/fx.py", repo_root=REPO_ROOT) == []
     exclusive = (
-        "from repro.parallel.executor import _run_band_shm\n"
+        "from repro.parallel.executor import _run_band\n"
         "def pick(in_handle, out_handle, flag):\n"
         "    if flag:\n"
-        "        _run_band_shm('s', (in_handle,), 0, 4, {}, (0, 4), 0, out_handle, 0)\n"
+        "        _run_band('s', (in_handle,), 0, 4, {}, (0, 4), 0, out_handle, 0)\n"
         "    else:\n"
-        "        _run_band_shm('s', (in_handle,), 2, 6, {}, (0, 4), 0, out_handle, 2)\n"
+        "        _run_band('s', (in_handle,), 2, 6, {}, (0, 4), 0, out_handle, 2)\n"
     )
     assert lint_source(exclusive, rel="repro/parallel/fx.py", repo_root=REPO_ROOT) == []
 

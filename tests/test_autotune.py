@@ -1,30 +1,77 @@
-"""DSE autotuner: a deterministic model, a shipped table, a live default.
+"""DSE autotuner: a deterministic model, pinned picks, a live default.
 
 The autotuner's contract has three parts: the analytical latency model
 behaves (positive, burst-amortised bandwidth, sane scaling), the
-search is **deterministic** (same inputs, same table — and the table
-shipped as package data is exactly what the in-tree model builds), and
+search is **deterministic** (same inputs, same pick — every band
+height ``tile_rows="auto"`` resolves to is pinned below), and
 ``TileExecutor(tile_rows="auto")`` actually consumes it.
 """
 
-import json
-
 import pytest
 
-from repro.parallel import TileExecutor
+from repro.parallel import TileExecutor, autotune
 from repro.parallel.autotune import (
     DEFAULT_MODEL,
     SIZES,
     WORKER_GRID,
     LatencyModel,
-    build_table,
-    load_table,
     predict_latency,
-    save_table,
     search_config,
-    table_path,
     tuned_tile_rows,
 )
+
+KERNELS = ("bm", "census", "farneback", "guided", "sgm")
+
+#: every grid pick, as the table the model once shipped recorded it:
+#: kernel -> size -> ``tile_rows`` at each worker count of WORKER_GRID
+PINNED_GRID_PICKS = {
+    "bm": {
+        (96, 160): (96, 48, 24, 16, 16),
+        (270, 480): (256, 48, 24, 48, 24),
+        (540, 960): (256, 96, 48, 24, 48),
+        (1080, 1920): (256, 192, 96, 48, 24),
+    },
+    "census": {
+        (96, 160): (96, 48, 48, 32, 32),
+        (270, 480): (256, 48, 96, 48, 48),
+        (540, 960): (256, 96, 48, 96, 48),
+        (1080, 1920): (256, 192, 96, 48, 96),
+    },
+    "farneback": {
+        (96, 160): (96, 48, 24, 24, 16),
+        (270, 480): (256, 192, 96, 48, 24),
+        (540, 960): (256, 96, 48, 96, 48),
+        (1080, 1920): (256, 192, 96, 48, 96),
+    },
+    "guided": {
+        (96, 160): (96, 48, 48, 32, 32),
+        (270, 480): (256, 48, 96, 48, 48),
+        (540, 960): (256, 96, 48, 96, 96),
+        (1080, 1920): (256, 192, 96, 48, 96),
+    },
+    "sgm": {
+        (96, 160): (96, 48, 24, 24, 16),
+        (270, 480): (256, 48, 24, 48, 48),
+        (540, 960): (256, 96, 48, 24, 24),
+        (1080, 1920): (256, 192, 96, 48, 48),
+    },
+}
+
+#: off-grid lookups: (size, workers) -> ``tile_rows`` per kernel of
+#: KERNELS.  The first three are the frames the e2e ``ism-tiled``
+#: workload bands at 2 workers, 280x470 is the docs' example, 360x720
+#: and 720x1440 sit at exact log-area ties between two grid sizes, and
+#: 3 and 12 workers tie between two grid worker counts.
+PINNED_OFF_GRID_PICKS = {
+    ((135, 240), 2): (48, 48, 48, 48, 48),
+    ((68, 120), 2): (48, 48, 48, 48, 48),
+    ((34, 60), 2): (48, 48, 48, 48, 48),
+    ((280, 470), 4): (24, 96, 96, 96, 24),
+    ((360, 720), 2): (48, 48, 192, 48, 48),
+    ((720, 1440), 2): (192, 192, 192, 192, 192),
+    ((270, 480), 3): (48, 48, 192, 48, 48),
+    ((270, 480), 12): (48, 48, 48, 48, 48),
+}
 
 
 class TestLatencyModel:
@@ -76,42 +123,47 @@ class TestSearchDeterminism:
         cfg = search_config("bm", (270, 480), workers=2)
         assert cfg.workers == 2
 
-    def test_table_is_reproducible(self):
-        assert build_table() == build_table()
-
-    def test_table_json_round_trips(self, tmp_path):
-        table = build_table(sizes=((96, 160),), worker_grid=(1, 2))
-        path = save_table(table, tmp_path / "t.json")
-        assert json.loads(path.read_text()) == table
-
     def test_custom_model_changes_table(self):
-        """The table is a function of the model, not a constant."""
-        slow_pickle = LatencyModel(pickle_gbs=0.001, dispatch_us=50000.0)
-        assert build_table(slow_pickle, sizes=((270, 480),)) != build_table(
-            sizes=((270, 480),)
+        """The table of picks is a function of the model, not a constant."""
+        slow_dispatch = LatencyModel(dispatch_us=50000.0)
+
+        def picks(model):
+            return [
+                search_config(kernel, (270, 480), workers, model).tile_rows
+                for kernel in KERNELS
+                for workers in WORKER_GRID
+            ]
+
+        assert picks(slow_dispatch) != picks(DEFAULT_MODEL)
+
+
+class TestPinnedPicks:
+    def test_grid_picks_unchanged(self):
+        assert set(PINNED_GRID_PICKS) == set(KERNELS)  # all 100 points
+        for kernel, per_size in PINNED_GRID_PICKS.items():
+            assert tuple(per_size) == SIZES
+            for size, rows in per_size.items():
+                got = tuple(tuned_tile_rows(kernel, size, w) for w in WORKER_GRID)
+                assert got == rows, (kernel, size)
+
+    def test_off_grid_picks_unchanged(self):
+        for (size, workers), rows in PINNED_OFF_GRID_PICKS.items():
+            got = tuple(tuned_tile_rows(k, size, workers) for k in KERNELS)
+            assert got == rows, (size, workers)
+
+    def test_each_grid_point_searched_once(self, monkeypatch):
+        calls = []
+        real = autotune.search_config
+        monkeypatch.setattr(
+            autotune, "search_config", lambda *a: calls.append(a) or real(*a)
         )
-
-
-class TestShippedTable:
-    def test_package_data_present(self):
-        assert table_path().exists(), (
-            "tuned_configs.json must ship with the package "
-            "(regenerate: python -m repro.parallel.autotune)"
-        )
-
-    def test_package_data_matches_model(self):
-        """The shipped table is exactly what the in-tree model builds —
-        i.e. it was regenerated after the last model change."""
-        assert load_table() == build_table()
-
-    def test_covers_grid(self):
-        table = load_table()
-        for kernel in ("bm", "census", "farneback", "guided", "sgm"):
-            entries = table["kernels"][kernel]
-            for h, w in SIZES:
-                entry = entries[f"{h}x{w}"]
-                assert set(entry["by_workers"]) == {str(v) for v in WORKER_GRID}
-                assert entry["best"]["tile_rows"] >= 1
+        autotune._grid_pick.cache_clear()
+        try:
+            for size in ((270, 480), (280, 470), (260, 490)):
+                tuned_tile_rows("bm", size, 4)
+            assert calls == [("bm", (270, 480), 4)]
+        finally:
+            autotune._grid_pick.cache_clear()
 
 
 class TestTunedLookup:

@@ -70,8 +70,7 @@ class TestBuildScheduleProperties:
         (group,) = lower_spec(spec)
         w_cost = [s.taps * 16 * 2 for s in group.subconvs]
         p_cost = [64] * len(group.subconvs)
-        value = [s.taps for s in group.subconvs]
-        groups = pack_filter_groups(group, 100_000, w_cost, p_cost, value)
+        groups = pack_filter_groups(group, 100_000, w_cost, p_cost)
         sched = build_schedule(
             group, ASV_BASE, n_row, n_col, n_ic, groups, weight_resident
         )
@@ -81,7 +80,7 @@ class TestBuildScheduleProperties:
         spec = ConvSpec("d", 16, 12, (4, 4), (24, 40), 2, 1, deconv=True)
         (group,) = lower_spec(spec)
         with pytest.raises(ValueError):
-            pack_filter_groups(group, 10, [1000] * 4, [0] * 4, [1] * 4)
+            pack_filter_groups(group, 10, [1000] * 4, [0] * 4)
 
 
 class TestModelSummaries:

@@ -9,6 +9,8 @@ that contract; the speed side lives in ``benchmarks/bench_kernels.py``.
 """
 
 import glob
+import os
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 from repro.datasets import sceneflow_scene
 from repro.flow import farneback_flow, flow_iteration, poly_expansion
 from repro.parallel import TileExecutor, available_kernels, shm_available, split_rows
+from repro.parallel import executor as executor_module
 from repro.pipeline import QualityProbe, sceneflow_stream
 from repro.stereo import (
     block_match,
@@ -112,13 +115,14 @@ class TestExecutorValidation:
         with pytest.raises(ValueError):
             TileExecutor(precision="float16")
 
-    def test_bad_transport(self):
-        with pytest.raises(ValueError, match="transport"):
-            TileExecutor(transport="carrier-pigeon")
-
-    def test_shm_transport_requires_process_pool(self):
-        with pytest.raises(ValueError, match="process"):
-            TileExecutor(workers=2, pool="thread", transport="shm")
+    def test_process_pool_needs_shared_memory(self, monkeypatch):
+        # a multi-worker process pool moves every operand through shm;
+        # without it construction fails instead of falling back
+        monkeypatch.setattr(executor_module, "shm_available", lambda: False)
+        with pytest.raises(ValueError, match="shared memory"):
+            TileExecutor(workers=2, pool="process")
+        assert TileExecutor(workers=2, pool="thread").workers == 2
+        assert TileExecutor(workers=1, pool="process").workers == 1
 
     def test_tile_rows_auto_accepted(self):
         assert TileExecutor(tile_rows="auto").tile_rows == "auto"
@@ -215,36 +219,37 @@ class _StubPool:
 class TestBoundedSubmission:
     """Regression: `_iter_map` must not submit every job eagerly.
 
-    Eager submission held all 8 pickled SGM cost-volume copies in
-    flight at once; the fix bounds in-flight submissions to the
-    worker count."""
+    Eager submission once held all 8 SGM cost-volume copies in flight
+    at once; the fix bounds in-flight submissions to the worker
+    count."""
 
     def test_peak_in_flight_is_worker_count(self):
-        ex = TileExecutor(workers=3, pool="thread", transport="pickle")
+        ex = TileExecutor(workers=3, pool="thread")
         stub = _StubPool()
         ex._pool = stub
         jobs = [(i,) for i in range(11)]
-        assert ex._map(lambda i: i * 2, jobs) == [2 * i for i in range(11)]
+        assert list(ex._iter_map(lambda i: i * 2, jobs)) == [2 * i for i in range(11)]
         assert stub.submitted == 11
         assert stub.peak == 3  # never more than `workers` in flight
 
     def test_single_job_runs_inline(self):
-        ex = TileExecutor(workers=3, pool="thread", transport="pickle")
+        ex = TileExecutor(workers=3, pool="thread")
         stub = _StubPool()
         ex._pool = stub
-        assert ex._map(lambda i: i + 1, [(41,)]) == [42]
+        assert list(ex._iter_map(lambda i: i + 1, [(41,)])) == [42]
         assert stub.submitted == 0  # one job never touches the pool
 
     def test_results_stay_in_job_order(self):
-        ex = TileExecutor(workers=2, pool="thread", transport="pickle")
+        ex = TileExecutor(workers=2, pool="thread")
         ex._pool = _StubPool()
         jobs = [(i,) for i in range(7)]
-        assert ex._map(lambda i: i, jobs) == list(range(7))
+        assert list(ex._iter_map(lambda i: i, jobs)) == list(range(7))
 
 
 @pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory")
 class TestSharedMemoryTransport:
-    """The shm transport must be invisible: bit-identical results for
+    """A multi-worker process pool moves every operand through shared
+    memory, and that must be invisible: bit-identical results for
     every kernel, band count and precision, and no leaked segments."""
 
     def _segments(self):
@@ -256,32 +261,44 @@ class TestSharedMemoryTransport:
     @pytest.mark.parametrize("name", available_kernels())
     @pytest.mark.parametrize("tile_rows", [3, 7, None])
     def test_seams_identical(self, frame, references, name, tile_rows):
-        with TileExecutor(
-            workers=2, pool="process", tile_rows=tile_rows, transport="shm"
-        ) as ex:
+        with TileExecutor(workers=2, pool="process", tile_rows=tile_rows) as ex:
             assert np.array_equal(_tiled(ex, name, frame), references[name])
 
     @pytest.mark.parametrize("name", available_kernels())
     def test_float32_identical(self, frame, name):
         want = _REFERENCE[name](frame, precision="float32")
         with TileExecutor(
-            workers=2, pool="process", tile_rows=5,
-            precision="float32", transport="shm",
+            workers=2, pool="process", tile_rows=5, precision="float32"
         ) as ex:
             assert np.array_equal(_tiled(ex, name, frame), want)
 
-    def test_auto_transport_matches_pickle(self, frame, references):
-        for transport in ("auto", "pickle"):
-            with TileExecutor(
-                workers=2, pool="process", tile_rows=6, transport=transport
-            ) as ex:
-                assert np.array_equal(_tiled(ex, "sgm", frame), references["sgm"])
-
     def test_no_leaked_segments(self, frame):
         before = self._segments()
-        with TileExecutor(workers=2, pool="process", transport="shm") as ex:
+        with TileExecutor(workers=2, pool="process") as ex:
             for name in available_kernels():
                 _tiled(ex, name, frame)
+        after = self._segments()
+        if before is not None:
+            assert after <= before, f"leaked shm segments: {after - before}"
+
+    def test_dead_worker_leaves_executor_usable(self, frame, references, monkeypatch):
+        parent = os.getpid()
+
+        def die_in_worker(img, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return np.array(img, dtype=np.float64)
+
+        # forked workers inherit the patched registry; jobs name the kernel
+        monkeypatch.setitem(executor_module._BAND_KERNELS, "die", die_in_worker)
+        before = self._segments()
+        with TileExecutor(workers=2, pool="process", tile_rows=None) as ex:
+            with pytest.raises(BrokenProcessPool):
+                ex._tiled("die", (frame.left,), {}, halo=0)
+            assert ex._pool is None  # the broken pool was dropped
+            assert np.array_equal(
+                ex.block_match(frame.left, frame.right, MAX_DISP), references["bm"]
+            )
         after = self._segments()
         if before is not None:
             assert after <= before, f"leaked shm segments: {after - before}"
@@ -325,8 +342,8 @@ class TestQualityProbeWorkers:
 
 
 class TestFlowSeamEquivalence:
-    """The tiled non-key flow kernels: every banding, pool, transport
-    and precision must be bit-identical to the single-core functions."""
+    """The tiled non-key flow kernels: every banding, pool and
+    precision must be bit-identical to the single-core functions."""
 
     @pytest.fixture(scope="class")
     def frames(self):
@@ -367,19 +384,10 @@ class TestFlowSeamEquivalence:
                                     window_sigma=2.5)
         assert np.array_equal(got, flow_reference)
 
-    def test_farneback_flow_process_pickle(self, frames, flow_reference):
-        f0, f1 = frames
-        with TileExecutor(workers=2, pool="process", tile_rows=8,
-                          transport="pickle") as ex:
-            got = ex.farneback_flow(f0.left, f1.left, levels=3, iterations=2,
-                                    window_sigma=2.5)
-        assert np.array_equal(got, flow_reference)
-
     @pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory")
-    def test_farneback_flow_shm(self, frames, flow_reference):
+    def test_farneback_flow_process_pool(self, frames, flow_reference):
         f0, f1 = frames
-        with TileExecutor(workers=2, pool="process", tile_rows=7,
-                          transport="shm") as ex:
+        with TileExecutor(workers=2, pool="process", tile_rows=7) as ex:
             got = ex.farneback_flow(f0.left, f1.left, levels=3, iterations=2,
                                     window_sigma=2.5)
         assert np.array_equal(got, flow_reference)

@@ -4,7 +4,7 @@ ASV007 guards the shm band transport (``repro/parallel/``) with three
 static analyses that mirror the runtime ``ASV_SHM_SANITIZE=1``
 sanitizer:
 
-* **overlap** — band jobs handed to ``_run_band_shm``/``_flow_band_shm``
+* **overlap** — band jobs handed to ``_run_band``/``_flow_band``
   with statically-constant crop/start rows must write disjoint row
   ranges of the same output handle; two calls whose ranges overlap and
   that can both execute (CFG-reachable from one another) are exactly
@@ -37,8 +37,8 @@ __all__ = ["ShmWriteRegionRule", "LockDisciplineRule"]
 
 #: worker entry points whose argument tuples carry (crop, out, start)
 _BAND_WORKERS = {
-    "_run_band_shm": (5, 7, 8),
-    "_flow_band_shm": (4, 5, 6),
+    "_run_band": (5, 7, 8),
+    "_flow_band": (4, 5, 6),
 }
 
 _ARENA_CTORS = {"ShmArena", "SharedMemory"}
@@ -115,7 +115,7 @@ def _band_jobs(fn: ast.FunctionDef | ast.AsyncFunctionDef):
             extracted = _write_interval(node.args, _BAND_WORKERS[name])
             if extracted is not None:
                 jobs.append((node, *extracted))
-        elif name in ("_iter_map", "_map", "map", "starmap") and node.args:
+        elif name in ("_iter_map", "map", "starmap") and node.args:
             worker = node.args[0]
             wname = None
             if isinstance(worker, ast.Attribute):
