@@ -46,7 +46,7 @@ import numpy as np
 from scipy import ndimage
 
 from repro.flow.gaussian import batched_gaussian_blur, downsample2, gaussian_kernel1d
-from repro.parallel.tiles import Stencil, gaussian_support_radius, stencil
+from repro.parallel.tiles import Stencil, gaussian_support_radius
 from repro.stereo.block_matching import resolve_precision
 
 __all__ = [
@@ -90,7 +90,6 @@ def _corr(img: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     return ndimage.correlate1d(img, taps, axis=axis, mode="nearest")
 
 
-@stencil(EXPANSION_STENCIL)
 def poly_expansion(
     img: np.ndarray,
     sigma: float = 1.5,
@@ -246,7 +245,6 @@ def expand_frame(
     )
 
 
-@stencil(FLOW_STENCIL)
 def flow_iteration(
     A1, b1, A2, b2, flow: np.ndarray, window_sigma: float = 4.0, row0: int = 0
 ) -> np.ndarray:

@@ -24,7 +24,7 @@ band sizes come from the analytical model in
 
 from typing import TYPE_CHECKING, Any
 
-from repro.parallel.tiles import RowBand, Stencil, split_rows, stencil
+from repro.parallel.tiles import RowBand, Stencil, split_rows
 
 if TYPE_CHECKING:  # the lazy names below, visible to type checkers
     from repro.parallel.autotune import (
@@ -72,6 +72,5 @@ __all__ = [
     "search_config",
     "shm_available",
     "split_rows",
-    "stencil",
     "tuned_tile_rows",
 ]

@@ -88,7 +88,7 @@ from repro.parallel.shm import (
     sanitize_enabled,
     shm_available,
 )
-from repro.parallel.tiles import split_rows, stencil
+from repro.parallel.tiles import split_rows
 from repro.stereo.block_matching import (
     BLOCK_STENCIL,
     block_match,
@@ -102,7 +102,6 @@ from repro.stereo.sgm import _DIRECTIONS_8, aggregate_path, wta_disparity
 __all__ = ["TileExecutor", "available_kernels"]
 
 
-@stencil(CENSUS_STENCIL)
 def _census_coded(left: np.ndarray, right_codes: np.ndarray, **kwargs) -> np.ndarray:
     """Band kernel: census matching against precomputed right codes.
 
@@ -114,7 +113,6 @@ def _census_coded(left: np.ndarray, right_codes: np.ndarray, **kwargs) -> np.nda
     return census_block_match(left, None, right_codes=right_codes, **kwargs)
 
 
-@stencil(EXPANSION_STENCIL)
 def _poly_band(img: np.ndarray, **kwargs) -> np.ndarray:
     """Band kernel: polynomial expansion packed into one dense map.
 

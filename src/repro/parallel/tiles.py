@@ -17,24 +17,21 @@ why ``max_disp`` / ``radius`` never enter the halo.
 >>> bands[1].crop                        # rows to keep of the slice
 (2, 5)
 
-Each kernel declares its vertical footprint once, as a
-:class:`Stencil` attached with the :func:`stencil` decorator; the
-executor computes every halo from that declaration and the ``ASV006``
-lint rule cross-checks both the declaration (against the footprint it
-derives from the kernel body) and every call site (against the
-declaration), so a halo can never silently drift from the kernel it
-protects.
+Each kernel family declares its vertical footprint once, as a
+:class:`Stencil` constant next to the kernels (``BLOCK_STENCIL``,
+``CENSUS_STENCIL``, ``EXPANSION_STENCIL``, ``FLOW_STENCIL``), and the
+executor computes every halo from that declaration.  The seam tests in
+``tests/test_parallel.py`` run every banded kernel against its
+whole-frame call, so a halo one row short fails them.
 
 >>> Stencil.window("block_size").halo(block_size=9)
 4
->>> Stencil.infinite().tileable
-False
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, TypeVar
+from typing import Any
 
 __all__ = [
     "RowBand",
@@ -42,7 +39,6 @@ __all__ = [
     "blur_tap_radius",
     "gaussian_support_radius",
     "split_rows",
-    "stencil",
 ]
 
 
@@ -128,18 +124,13 @@ class Stencil:
     ``kind`` selects how the halo is computed from the kernel's own
     keyword arguments:
 
-    * ``"pointwise"`` — no vertical reach (halo 0);
-    * ``"fixed"`` — a constant ``value`` of rows;
     * ``"window"`` — an odd ``param``-sized window (halo ``param // 2``,
       the box-filter / census case);
-    * ``"radius"`` — ``param`` *is* the halo;
     * ``"gaussian"`` — 3-sigma moment-filter support of ``param``
       (:func:`gaussian_support_radius`), optionally overridden by an
       explicit tap-radius argument named ``override``;
     * ``"blur"`` — ``gaussian_filter``-compatible taps of ``param``
-      (:func:`blur_tap_radius`);
-    * ``"infinite"`` — a whole-image dependence (SGM path aggregation):
-      no finite halo exists and :meth:`halo` refuses to produce one.
+      (:func:`blur_tap_radius`).
 
     >>> Stencil.window("window").halo(window=5)
     2
@@ -149,32 +140,15 @@ class Stencil:
     7
     >>> Stencil.blur("window_sigma").halo(window_sigma=4.0)
     16
-    >>> Stencil.infinite().halo()
-    Traceback (most recent call last):
-        ...
-    ValueError: an infinite stencil cannot be tiled with a finite halo
     """
 
     kind: str
-    param: str | None = None
-    value: int = 0
+    param: str
     override: str | None = None
-
-    @classmethod
-    def pointwise(cls) -> "Stencil":
-        return cls("pointwise")
-
-    @classmethod
-    def fixed(cls, value: int) -> "Stencil":
-        return cls("fixed", value=int(value))
 
     @classmethod
     def window(cls, param: str) -> "Stencil":
         return cls("window", param=param)
-
-    @classmethod
-    def radius(cls, param: str) -> "Stencil":
-        return cls("radius", param=param)
 
     @classmethod
     def gaussian(cls, param: str, override: str | None = None) -> "Stencil":
@@ -184,62 +158,17 @@ class Stencil:
     def blur(cls, param: str) -> "Stencil":
         return cls("blur", param=param)
 
-    @classmethod
-    def infinite(cls) -> "Stencil":
-        return cls("infinite")
-
-    @property
-    def tileable(self) -> bool:
-        """Whether any finite halo makes banded execution exact."""
-        return self.kind != "infinite"
-
     def halo(self, **params: Any) -> int:
         """The halo rows this stencil needs for the given kernel kwargs."""
-        if self.kind == "pointwise":
-            return 0
-        if self.kind == "fixed":
-            return self.value
-        if self.kind == "infinite":
-            raise ValueError(
-                "an infinite stencil cannot be tiled with a finite halo"
-            )
         if self.override is not None:
             explicit = params.get(self.override)
             if explicit is not None:
                 return int(explicit)
-        if self.param is None:  # pragma: no cover - constructors set it
-            raise ValueError(f"stencil kind {self.kind!r} needs a param")
         arg = params[self.param]
         if self.kind == "window":
             return int(arg) // 2
-        if self.kind == "radius":
-            return int(arg)
         if self.kind == "gaussian":
             return gaussian_support_radius(arg)
         if self.kind == "blur":
             return blur_tap_radius(arg)
         raise ValueError(f"unknown stencil kind {self.kind!r}")
-
-
-_F = TypeVar("_F", bound=Callable[..., Any])
-
-
-def stencil(spec: Stencil) -> Callable[[_F], _F]:
-    """Attach a declared :class:`Stencil` to a kernel function.
-
-    The declaration is readable at runtime as ``fn.stencil`` and
-    statically by the ``ASV006`` halo-sufficiency rule, which checks
-    it against the footprint derived from the kernel body.
-
-    >>> @stencil(Stencil.window("size"))
-    ... def blurry(img, size=9):
-    ...     return img
-    >>> blurry.stencil.halo(size=9)
-    4
-    """
-
-    def attach(fn: _F) -> _F:
-        fn.stencil = spec  # type: ignore[attr-defined]
-        return fn
-
-    return attach

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from repro.parallel.tiles import Stencil, stencil
+from repro.parallel.tiles import Stencil
 
 __all__ = [
     "BLOCK_STENCIL",
@@ -40,8 +40,7 @@ _BIG = 1e9
 
 #: vertical data dependence of every SAD-family kernel: the box-filter
 #: window (the disparity search itself is horizontal).  Declared once;
-#: the tiled executor computes its halos from this and ASV006 checks
-#: both the declaration and every call site against it.
+#: the tiled executor computes its halos from this.
 BLOCK_STENCIL = Stencil.window("block_size")
 
 #: cost-volume dtypes selectable through the ``precision`` knob; the
@@ -119,7 +118,6 @@ def shift_right_image(right: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-@stencil(BLOCK_STENCIL)
 def sad_cost_volume(
     left: np.ndarray,
     right: np.ndarray,
@@ -176,7 +174,6 @@ def _subpixel_refine(cost: np.ndarray, disp: np.ndarray) -> np.ndarray:
     return disp + np.clip(offset, -0.5, 0.5)
 
 
-@stencil(BLOCK_STENCIL)
 def block_match(
     left: np.ndarray,
     right: np.ndarray,
@@ -193,7 +190,6 @@ def block_match(
     return disp
 
 
-@stencil(BLOCK_STENCIL)
 def guided_block_match(
     left: np.ndarray,
     right: np.ndarray,

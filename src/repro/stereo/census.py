@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel.tiles import Stencil, stencil
+from repro.parallel.tiles import Stencil
 from repro.stereo.block_matching import (
     _BIG,
     _as_float,
@@ -43,7 +43,6 @@ __all__ = [
 CENSUS_STENCIL = Stencil.window("window")
 
 
-@stencil(CENSUS_STENCIL)
 def census_transform(img: np.ndarray, window: int = 5) -> np.ndarray:
     """Per-pixel census code as a uint64 bit pattern.
 
@@ -106,7 +105,6 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     ].sum(axis=-1)
 
 
-@stencil(CENSUS_STENCIL)
 def hamming_cost_volume(
     left: np.ndarray,
     right: np.ndarray | None,
@@ -159,7 +157,6 @@ def hamming_cost_volume(
     return cost
 
 
-@stencil(CENSUS_STENCIL)
 def census_block_match(
     left: np.ndarray,
     right: np.ndarray | None,

@@ -32,24 +32,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel.tiles import Stencil, stencil
 from repro.stereo.block_matching import _subpixel_refine, sad_cost_volume
 
 __all__ = [
-    "AGGREGATE_STENCIL",
     "aggregate_path",
     "aggregate_volume",
     "sgm",
     "sgm_ops",
     "wta_disparity",
 ]
-
-#: the path aggregation is a whole-image DP — a vertical path runs top
-#: to bottom — so *no finite halo* makes independently aggregated
-#: bands exact.  Declared infinite: ASV006 rejects any attempt to
-#: row-tile it (the parallel adapter fans out over path directions
-#: instead, which is exact).
-AGGREGATE_STENCIL = Stencil.infinite()
 
 _DIRECTIONS_8 = [
     (0, 1), (0, -1), (1, 0), (-1, 0),
@@ -134,7 +125,6 @@ def _sweep(cost, out, p1, p2, shift=0, reverse=False, accum=None):
             np.add(acc, line_out, out=acc)
 
 
-@stencil(AGGREGATE_STENCIL)
 def aggregate_path(cost: np.ndarray, dy: int, dx: int, p1: float, p2: float) -> np.ndarray:
     """Aggregate a (D, H, W) cost volume along one path direction.
 
@@ -155,7 +145,6 @@ def aggregate_path(cost: np.ndarray, dy: int, dx: int, p1: float, p2: float) -> 
     return out
 
 
-@stencil(AGGREGATE_STENCIL)
 def aggregate_volume(
     cost: np.ndarray, p1: float, p2: float, paths: int = 8
 ) -> np.ndarray:
@@ -209,7 +198,6 @@ def wta_disparity(total: np.ndarray, subpixel: bool = True) -> np.ndarray:
     return disp
 
 
-@stencil(AGGREGATE_STENCIL)
 def sgm(
     left: np.ndarray,
     right: np.ndarray,

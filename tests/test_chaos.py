@@ -13,7 +13,9 @@ resilience contract the serving stack declares:
   the replayed dispositions (the quality probe independently raises on
   any chain violation, so every probed run re-checks the invariant);
 * **bit-identical determinism** — identical ``(fault_schedule, seed)``
-  inputs render byte-identical cluster reports, run to run.
+  inputs render byte-identical cluster reports in two processes with
+  different ``PYTHONHASHSEED`` values, so neither a seeded draw nor
+  set/dict hash order can leak into a report.
 
 The final test folds the canonical crash scenario's failover latency
 and degraded-window p99 into ``benchmarks/results/BENCH_chaos.json``
@@ -26,6 +28,8 @@ the suite cheaply (see ``.github/workflows/ci.yml``).
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -50,6 +54,7 @@ TINY = (68, 120)
 PIXEL = (48, 64)
 N_FRAMES = int(os.environ.get("ASV_BENCH_FRAMES", "12"))
 RESULTS_DIR = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
+TESTS_DIR = pathlib.Path(__file__).resolve().parent
 
 # the declared degradation envelopes the suite enforces: under any
 # single injected fault the fleet may degrade, but boundedly —
@@ -520,9 +525,35 @@ class TestDeterminism:
         )
         return format_cluster_report(engine.run(_streams()))
 
-    @pytest.mark.parametrize("discipline", ["fifo", "edf", "shed"])
-    def test_identical_inputs_render_identically(self, discipline):
-        assert self._render(discipline) == self._render(discipline)
+    DISCIPLINES = ("fifo", "edf", "shed")
+
+    @pytest.fixture(scope="class")
+    def hashseed_renders(self):
+        """Every discipline's report, rendered once in each of two fresh
+        interpreters whose ``PYTHONHASHSEED`` differs."""
+        script = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_chaos import TestDeterminism as T; "
+            "print(json.dumps({d: T()._render(d) for d in T.DISCIPLINES}))"
+        )
+        path = os.pathsep.join(
+            filter(None, [str(TESTS_DIR.parent / "src"), os.environ.get("PYTHONPATH")])
+        )
+        renders = []
+        for hashseed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(TESTS_DIR)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            renders.append(json.loads(proc.stdout))
+        return renders
+
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    def test_identical_inputs_render_identically(self, hashseed_renders, discipline):
+        first, second = (r[discipline] for r in hashseed_renders)
+        assert first and first == second
 
     def test_resilience_section_rendered(self):
         text = self._render()

@@ -180,6 +180,28 @@ class TestSeamEquivalence:
         ) as ex:
             assert np.array_equal(_tiled(ex, name, frame), want)
 
+    def test_every_band_kernel_is_seam_checked(self, frame, references, monkeypatch):
+        # closes the seam suite over the band-kernel registry: a kernel
+        # registered without a whole-frame comparison here fails the
+        # last assert.  Both band sizes are needed: "census" is reached
+        # only through the one-band path, "census_coded" only banded
+        seen = set()
+        for name, kernel in list(executor_module._BAND_KERNELS.items()):
+            def record(*args, _name=name, _kernel=kernel, **kwargs):
+                seen.add(_name)
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setitem(executor_module._BAND_KERNELS, name, record)
+        img = np.asarray(frame.left, dtype=np.float64)
+        A_ref, b_ref = poly_expansion(img)
+        for tile_rows in (4, 64):
+            with TileExecutor(workers=2, pool="thread", tile_rows=tile_rows) as ex:
+                for name in available_kernels():
+                    assert np.array_equal(_tiled(ex, name, frame), references[name])
+                A, b = ex.poly_expansion(img)
+            assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
+        assert seen == set(executor_module._BAND_KERNELS)
+
     def test_single_row_image(self):
         rng = np.random.default_rng(0)
         left, right = rng.normal(size=(2, 1, 30))

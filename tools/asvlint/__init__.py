@@ -3,9 +3,8 @@
 An AST-based linter whose rules encode the invariants the optimization
 PRs earned the hard way: seeded determinism (ASV001), shared-memory
 lifecycle (ASV002), precision-knob threading (ASV003), registry/doc
-sync (ASV004), bounded pool submission (ASV005) — and, flow-sensitively,
-halo sufficiency (ASV006), shm write-region safety (ASV007) and lock
-discipline (ASV008).  Run it as::
+sync (ASV004), bounded pool submission (ASV005) and lock discipline
+(ASV008).  Run it as::
 
     python -m tools.asvlint src
 
@@ -17,12 +16,7 @@ or programmatically:
 
 Rules register through :func:`register_rule`, mirroring
 ``repro.backends.registry``; ``docs/static-analysis.md`` is the
-catalog.  Flow-sensitive rules build on the exported dataflow core —
-:func:`build_cfg` + :func:`solve` over a custom :class:`Domain` — see
-the "Flow-sensitive rules" section of the catalog for a worked
-third-party example.  The package also ships the dynamic determinism
-canary (:mod:`tools.asvlint.canary`, ``--canary``) that complements
-the static pass.
+catalog, with the mutation table that decides which rules stay.
 """
 
 from tools.asvlint.engine import (
@@ -37,11 +31,6 @@ from tools.asvlint.engine import (
     register_rule,
 )
 from tools.asvlint import rules as _builtin_rules  # noqa: F401  (self-registering)
-from tools.asvlint import rules_concurrency as _conc_rules  # noqa: F401
-from tools.asvlint import rules_stencil as _stencil_rules  # noqa: F401
-from tools.asvlint.canary import canary_reports, run_canary
-from tools.asvlint.cfg import CFG, Node, build_cfg, may_raise
-from tools.asvlint.dataflow import BOTTOM, Domain, solve
 
 __all__ = [
     "LintContext",
@@ -53,13 +42,4 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "register_rule",
-    "canary_reports",
-    "run_canary",
-    "CFG",
-    "Node",
-    "build_cfg",
-    "may_raise",
-    "BOTTOM",
-    "Domain",
-    "solve",
 ]

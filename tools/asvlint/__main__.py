@@ -1,27 +1,20 @@
 """CLI: ``python -m tools.asvlint [paths...]``.
 
-Exit status: 0 clean, 1 violations (or a canary diff), 2 usage errors.
-Default output is one ``path:line:col: CODE message [fix: ...]`` line
-per violation; ``--format=sarif`` emits a SARIF 2.1.0 run on stdout
-(for code-scanning upload) instead, and ``--stats`` prints per-rule
-wall time to stderr.  Under GitHub Actions (or with ``--github``) each
-violation is additionally emitted as a ``::error file=...,line=...``
-annotation so CI failures land on the offending line in the diff view.
+Exit status: 0 clean, 1 violations, 2 usage errors.  Output is one
+``path:line:col: CODE message [fix: ...]`` line per violation, and
+``--stats`` prints per-rule wall time to stderr.  Under GitHub Actions
+(or with ``--github``) each violation is additionally emitted as a
+``::error file=...,line=...`` annotation so CI failures land on the
+offending line in the diff view.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from tools.asvlint.engine import (
-    Violation,
-    available_rules,
-    get_rule,
-    lint_paths,
-)
+from tools.asvlint.engine import available_rules, get_rule, lint_paths
 
 
 def _list_rules() -> None:
@@ -33,72 +26,17 @@ def _list_rules() -> None:
         print(f"    fix: {rule.hint}")
 
 
-def sarif_report(violations: list[Violation]) -> dict:
-    """The SARIF 2.1.0 document for one lint run."""
-    rules = []
-    for code in available_rules():
-        rule = get_rule(code)
-        rules.append(
-            {
-                "id": code,
-                "name": rule.name,
-                "shortDescription": {"text": rule.name},
-                "fullDescription": {"text": rule.rationale},
-                "help": {"text": rule.hint},
-            }
-        )
-    results = []
-    for v in violations:
-        results.append(
-            {
-                "ruleId": v.code,
-                "level": "error",
-                "message": {"text": v.message + (f" [fix: {v.hint}]" if v.hint else "")},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": v.path},
-                            "region": {
-                                "startLine": v.line,
-                                "startColumn": v.col + 1,
-                            },
-                        }
-                    }
-                ],
-            }
-        )
-    return {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "asvlint",
-                        "informationUri": "docs/static-analysis.md",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.asvlint",
         description="repo-specific static analysis (determinism, shm "
         "lifecycle, precision threading, registry drift, bounded "
-        "submission, halo sufficiency, shm write regions, lock "
-        "discipline)",
+        "submission, lock discipline)",
     )
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files/directories to lint (default: src)")
     parser.add_argument("--select", metavar="CODES",
                         help="comma-separated rule codes to run (default: all)")
-    parser.add_argument("--format", choices=("text", "sarif"), default="text",
-                        help="violation output format (default: text)")
     parser.add_argument("--stats", action="store_true",
                         help="print per-rule wall time to stderr")
     parser.add_argument("--list-rules", action="store_true",
@@ -106,18 +44,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--github", action="store_true",
                         help="also emit GitHub Actions ::error annotations "
                         "(automatic when GITHUB_ACTIONS is set)")
-    parser.add_argument("--canary", action="store_true",
-                        help="run the dynamic determinism canary instead of "
-                        "the static pass (needs repro importable)")
     args = parser.parse_args(argv)
 
     if args.list_rules:
         _list_rules()
         return 0
-    if args.canary:
-        from tools.asvlint.canary import run_canary
-
-        return run_canary()
 
     select = None
     if args.select:
@@ -128,15 +59,11 @@ def main(argv: list[str] | None = None) -> int:
     violations = lint_paths(
         args.paths or ["src"], select=select, timings=timings
     )
-    if args.format == "sarif":
-        json.dump(sarif_report(violations), sys.stdout, indent=2)
-        print()
-    else:
-        github = args.github or os.environ.get("GITHUB_ACTIONS") == "true"
-        for v in violations:
-            print(v.render())
-            if github:
-                print(v.render_github())
+    github = args.github or os.environ.get("GITHUB_ACTIONS") == "true"
+    for v in violations:
+        print(v.render())
+        if github:
+            print(v.render_github())
     if args.stats:
         total = sum(timings.values())
         for code, seconds in sorted(

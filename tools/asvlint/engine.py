@@ -190,8 +190,6 @@ def get_rule(code: str) -> Rule:
 
 def _load_builtins() -> None:
     from tools.asvlint import rules as _builtin_rules  # noqa: F401  (self-registering)
-    from tools.asvlint import rules_concurrency as _conc_rules  # noqa: F401
-    from tools.asvlint import rules_stencil as _stencil_rules  # noqa: F401
 
 
 _SUPPRESS = re.compile(

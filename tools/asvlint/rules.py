@@ -1,4 +1,4 @@
-"""The built-in asvlint rules (ASV001–ASV005).
+"""The built-in asvlint rules (ASV001–ASV005 and ASV008).
 
 Each rule encodes an invariant a previous PR earned the hard way; the
 ``rationale`` attribute names it.  See ``docs/static-analysis.md`` for
@@ -19,6 +19,7 @@ __all__ = [
     "PrecisionRule",
     "RegistryDocDriftRule",
     "BoundedSubmissionRule",
+    "LockDisciplineRule",
 ]
 
 #: packages whose serving/transport loops must be *strictly* deterministic
@@ -552,3 +553,95 @@ class BoundedSubmissionRule(Rule):
                         self.hint,
                     )
                     break
+
+
+#: methods that run before the object is shared (or after it no longer is)
+_EXEMPT_METHODS = {"__init__", "__new__", "__del__", "__post_init__"}
+
+
+def _under_lock(ctx: LintContext, node: ast.AST, fn: ast.AST) -> bool:
+    """Whether a ``with <...lock...>:`` block inside ``fn`` encloses ``node``."""
+    for anc in ctx.ancestors(node):
+        if anc is fn:
+            return False
+        if isinstance(anc, (ast.With, ast.AsyncWith)) and any(
+            "lock" in (n.attr if isinstance(n, ast.Attribute) else n.id).lower()
+            for item in anc.items
+            for n in ast.walk(item.context_expr)
+            if isinstance(n, (ast.Attribute, ast.Name))
+        ):
+            return True
+    return False
+
+
+def _self_fields(
+    ctx: LintContext, method: ast.FunctionDef | ast.AsyncFunctionDef
+) -> Iterator[tuple[ast.Attribute, bool]]:
+    """(self.<field> access, under the lock?) pairs within one method."""
+    args = method.args
+    positional = [*args.posonlyargs, *args.args]
+    if not positional:
+        return
+    self_name = positional[0].arg
+    for node in ast.walk(method):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == self_name
+        ):
+            yield node, _under_lock(ctx, node, method)
+
+
+@register_rule
+class LockDisciplineRule(Rule):
+    """ASV008: a field the class guards with ``self._lock`` somewhere
+    must be guarded everywhere.
+
+    A field one method reads or writes inside ``with self._lock:`` is
+    shared mutable state; any other method (``__init__`` and friends
+    excepted: the object is not shared yet) that touches it outside a
+    lock block races the guarded one.
+    """
+
+    code = "ASV008"
+    name = "lock-discipline"
+    rationale = (
+        "a field that one method protects with the instance lock is "
+        "shared mutable state; touching it unguarded elsewhere races the "
+        "guarded method (the ShmArena finalizer runs on whatever thread "
+        "drops the last reference)"
+    )
+    hint = "wrap the access in `with self._lock:` (it is re-entrant)"
+    scope = None
+
+    def check(self, ctx: LintContext) -> Iterator[Violation]:
+        for cls in ast.walk(ctx.tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            defs = [
+                node
+                for node in cls.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+            method_names = {m.name for m in defs}
+            methods = [m for m in defs if m.name not in _EXEMPT_METHODS]
+            #: field -> a method that guards it
+            guarded: dict[str, str] = {}
+            for method in methods:
+                for attr, locked in _self_fields(ctx, method):
+                    field = attr.attr
+                    if locked and "lock" not in field.lower() and (
+                        field not in method_names
+                    ):
+                        guarded.setdefault(field, method.name)
+            for method in methods:
+                for attr, locked in _self_fields(ctx, method):
+                    if locked or attr.attr not in guarded:
+                        continue
+                    yield ctx.violation(
+                        attr, self.code,
+                        f"field {attr.attr!r} is guarded by the instance lock "
+                        f"in {cls.name}.{guarded[attr.attr]} but accessed "
+                        "unguarded here",
+                        self.hint,
+                    )
