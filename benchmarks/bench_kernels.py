@@ -7,15 +7,13 @@ Two layers:
   algorithmic ordering — guided search beats full search, the
   transformed deconvolution beats the zero-stuffed one;
 * the **tiled execution bench** measures what
-  :class:`repro.parallel.TileExecutor` buys on this machine, in
-  before/after form: each matcher runs whole-frame (*serial*), tiled
-  with one band per worker (``tile_rows=None``, *per-worker*, the
-  "before"), and tiled with the autotuned band size (*tuned*, the
-  "after"), both through the same shared-memory process pool.  The
-  seam-equivalence contract is asserted for both tiled configs
-  (bit-identical output — this is the part CI smoke-runs), every
-  latency lands in ``benchmarks/results/BENCH_kernels.json``, and the
-  run must leave no stray ``/dev/shm/asv_*`` segments behind.
+  :class:`repro.parallel.TileExecutor` buys on this machine: each
+  matcher runs whole-frame (*serial*) and tiled, one band per worker
+  on a shared-memory process pool (*tiled*).  The seam-equivalence
+  contract is asserted for the tiled run (bit-identical output — this
+  is the part CI smoke-runs), every latency lands in
+  ``benchmarks/results/BENCH_kernels.json``, and the run must leave no
+  stray ``/dev/shm/asv_*`` segments behind.
 
 Wall-clock *speedup* is machine-dependent (worker count, core count,
 thermal state), so it is printed and recorded but only asserted when
@@ -58,7 +56,6 @@ from repro.flow import (
 )
 from repro.nn.ops import deconvnd
 from repro.parallel import TileExecutor
-from repro.parallel.autotune import tuned_tile_rows
 from repro.stereo import block_match, guided_block_match, sgm
 from repro.stereo import block_matching as bm_mod
 from repro.stereo.sgm import _DIRECTIONS_8, aggregate_path, aggregate_volume
@@ -287,37 +284,25 @@ def test_tiled_execution_speedup_and_seams(save_table):
     segments_before = _shm_segments()
     serial = TileExecutor(workers=1)
     rows, records = [], {}
-    # before: one band per worker; after: autotuned band size (both
-    # on the shared-memory process pool)
-    with TileExecutor(workers=WORKERS, pool="process",
-                      tile_rows=None) as per_worker, \
-         TileExecutor(workers=WORKERS, pool="process") as tuned:
+    with TileExecutor(workers=WORKERS, pool="process") as tiled:
         for name, size, _frame_obj, call in _tiled_cases():
-            want = call(serial)
-            for label, ex in (("per-worker", per_worker), ("tuned", tuned)):
-                got = call(ex)
-                # seam equivalence is the part that gates CI — tile
-                # seams must be bit-identical to whole-frame execution
-                assert np.array_equal(want, got), (
-                    f"{name}/{label}: tiled output differs from whole-frame"
-                )
+            # seam equivalence is the part that gates CI — tile seams
+            # must be bit-identical to whole-frame execution
+            assert np.array_equal(call(serial), call(tiled)), (
+                f"{name}: tiled output differs from whole-frame"
+            )
             t_serial = _clock(lambda: call(serial), reps=2)
-            t_per_worker = _clock(lambda: call(per_worker), reps=2)
-            t_tuned = _clock(lambda: call(tuned), reps=2)
+            t_tiled = _clock(lambda: call(tiled), reps=2)
             records[name] = {
                 "size": list(size),
-                "tuned_tile_rows": tuned_tile_rows(name, size, WORKERS),
                 "serial_s": t_serial,
-                "per_worker_s": t_per_worker,
-                "tuned_s": t_tuned,
-                "speedup_per_worker": t_serial / t_per_worker,
-                "speedup": t_serial / t_tuned,
+                "tiled_s": t_tiled,
+                "speedup": t_serial / t_tiled,
                 "seam_identical": True,
             }
             rows.append(
                 [name, f"{size[0]}x{size[1]}",
-                 1e3 * t_serial, 1e3 * t_per_worker, 1e3 * t_tuned,
-                 t_serial / t_tuned, "yes"]
+                 1e3 * t_serial, 1e3 * t_tiled, t_serial / t_tiled, "yes"]
             )
 
     aggregation = _bench_aggregation()
@@ -339,11 +324,11 @@ def test_tiled_execution_speedup_and_seams(save_table):
         "kernels_tiled",
         render_table(
             f"Tiled kernel execution — {WORKERS} process workers on "
-            f"{os.cpu_count()} cores (speedup = serial/tuned; "
+            f"{os.cpu_count()} cores (speedup = serial/tiled; "
             f"machine-dependent, asserted only with "
             f"ASV_BENCH_ASSERT_SPEEDUP=1)",
-            ["kernel", "frame", "serial ms", "per-worker ms", "tuned ms",
-             "speedup", "seam-identical"],
+            ["kernel", "frame", "serial ms", "tiled ms", "speedup",
+             "seam-identical"],
             rows,
         ),
     )
@@ -366,7 +351,7 @@ def test_tiled_execution_speedup_and_seams(save_table):
         )
         for name in ("sgm", "census"):
             assert records[name]["speedup"] > 1.0, (
-                f"{name}: tuned tiled run slower than serial "
+                f"{name}: tiled run slower than serial "
                 f"({records[name]['speedup']:.2f}x)"
             )
         best = max(r["speedup"] for r in records.values())
@@ -797,7 +782,6 @@ def test_nonkey_path_before_after(save_table):
         "farneback": {
             "vectorized_s": t_vec_flow, "tiled_s": t_tiled_flow,
             "tiled_identical": True,
-            "tuned_tile_rows": tuned_tile_rows("farneback", size, WORKERS),
         },
         "guided_bm": {
             "loop_s": t_loop_guided, "batched_s": t_batched_guided,

@@ -92,9 +92,9 @@ def run_fig1(
 
     ``workers > 1`` runs the kernel-backed classic points (BM and the
     SGM configurations) through a tiled multi-core
-    :class:`~repro.parallel.TileExecutor` with its autotuned band
-    sizes (``tile_rows="auto"``) on a shared-memory process pool; the
-    numbers are bit-identical either way.
+    :class:`~repro.parallel.TileExecutor`, one row band per worker on
+    a shared-memory process pool; the numbers are bit-identical either
+    way.
     """
     scale = scale or default_scale()
     with TileExecutor(workers=workers) as executor:

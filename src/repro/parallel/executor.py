@@ -37,15 +37,14 @@ process pool every input is shared once through
 workers map the parent's pages) and write their payload rows into one
 output segment.  Inline and on a thread pool the same jobs receive
 the arrays themselves and write into a preallocated array.
-``tile_rows="auto"`` (the default) sizes the row bands with the
-analytical model in :mod:`repro.parallel.autotune` instead of the
-one-band-per-worker fallback.  Neither the pool nor the banding
-affects the computed values, pinned by the seam-equivalence tests.
+Every multi-worker call cuts one band per worker.  Neither the pool
+nor the banding affects the computed values, pinned by the
+seam-equivalence tests.
 
-``workers=1`` executes inline (no pool, no shared memory) and is the
-reference the seam-equivalence tests pin every multi-worker
-configuration against.  The ``precision`` knob selects the
-cost-volume dtype for every kernel the executor runs.
+``workers=1`` executes inline, as one band (no pool, no shared
+memory), and is the reference the seam-equivalence tests pin every
+multi-worker configuration against.  The ``precision`` knob selects
+the cost-volume dtype for every kernel the executor runs.
 
 >>> import numpy as np
 >>> from repro.datasets import sceneflow_scene
@@ -64,6 +63,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from itertools import islice
+from numbers import Integral
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -141,14 +141,6 @@ _BAND_KERNELS: dict[str, Callable[..., np.ndarray]] = {
     "guided": guided_block_match,
     "poly": _poly_band,
     "sad_cost": sad_cost_volume,
-}
-
-#: band-kernel name -> the kernel name the autotuner models it as
-_TUNE_KEYS = {
-    "sad_cost": "sgm",
-    "census_coded": "census",
-    "poly": "farneback",
-    "flow": "farneback",
 }
 
 _POOLS: dict[str, Callable[..., Executor]] = {
@@ -289,20 +281,16 @@ class TileExecutor:
     Parameters
     ----------
     workers:
-        Pool size.  ``1`` (the default) executes inline — same code
-        path, no pool — and is the bit-identical reference.
+        Pool size and band count: a multi-worker call cuts one row
+        band per worker.  ``1`` (the default) executes inline — one
+        band, no pool — and is the bit-identical reference.  Must be
+        an integer >= 1.
     pool:
         ``"process"`` (default; real multi-core) or ``"thread"`` (no
         shared memory needed; NumPy releases the GIL in the heavy ops,
         so scaling is workload-dependent).  A multi-worker process
         pool moves every operand through POSIX shared memory, so on a
         platform without it construction raises ``ValueError``.
-    tile_rows:
-        Rows per band.  ``"auto"`` (default) asks the analytical
-        model (:mod:`repro.parallel.autotune`) for this kernel, frame
-        size and worker count; ``None`` cuts one band per worker; a
-        small explicit value exercises many more bands than workers
-        (the seam-equivalence tests use this).
     precision:
         Cost-volume dtype knob, ``"float64"`` (default) or
         ``"float32"``, passed to every kernel the executor runs.
@@ -313,8 +301,8 @@ class TileExecutor:
     dropped as the error propagates, and the next call builds a fresh
     one.
 
-    >>> TileExecutor(workers=2, pool="thread", tile_rows=8)
-    TileExecutor(workers=2, pool='thread', tile_rows=8, precision='float64')
+    >>> TileExecutor(workers=2, pool="thread")
+    TileExecutor(workers=2, pool='thread', precision='float64')
     >>> TileExecutor(pool="greenlet")
     Traceback (most recent call last):
         ...
@@ -325,22 +313,18 @@ class TileExecutor:
         self,
         workers: int = 1,
         pool: str = "process",
-        tile_rows: int | str | None = "auto",
         precision: str = "float64",
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        integer = isinstance(workers, Integral) and not isinstance(workers, bool)
+        if not integer or workers < 1:
+            raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
         if pool not in _POOLS:
             raise ValueError(
                 f"pool must be one of {tuple(sorted(_POOLS))}, got {pool!r}"
             )
-        if tile_rows is not None and tile_rows != "auto":
-            if not isinstance(tile_rows, int) or tile_rows < 1:
-                raise ValueError("tile_rows must be a positive int, 'auto' or None")
         resolve_precision(precision)  # validate eagerly
         self.workers = int(workers)
         self.pool = pool
-        self.tile_rows = tile_rows
         self.precision = precision
         # band jobs get ShmHandles only on a real process pool;
         # workers=1 stays inline on purpose
@@ -355,7 +339,7 @@ class TileExecutor:
     def __repr__(self) -> str:
         return (
             f"TileExecutor(workers={self.workers}, pool={self.pool!r}, "
-            f"tile_rows={self.tile_rows!r}, precision={self.precision!r})"
+            f"precision={self.precision!r})"
         )
 
     # ------------------------------------------------------------------
@@ -416,27 +400,6 @@ class TileExecutor:
     # ------------------------------------------------------------------
     # row-band tiling
     # ------------------------------------------------------------------
-    def _n_bands(
-        self, height: int, kernel: str, frame_shape: tuple[int, ...]
-    ) -> int:
-        tile_rows = self.tile_rows
-        if tile_rows == "auto":
-            if self.workers == 1:
-                return 1  # inline reference path: one band, no pool
-            from repro.parallel.autotune import tuned_tile_rows
-
-            tile_rows = tuned_tile_rows(
-                _TUNE_KEYS.get(kernel, kernel), frame_shape[:2], self.workers
-            )
-            if tile_rows is not None:
-                # the model is searched at its own grid sizes; on a
-                # frame smaller than the snapped point, never cut fewer
-                # bands than there are workers
-                tile_rows = min(tile_rows, -(-height // self.workers))
-        if tile_rows is not None:
-            return -(-height // tile_rows)  # ceil
-        return self.workers
-
     def _fan_out(
         self,
         job: Callable[..., None],
@@ -492,7 +455,8 @@ class TileExecutor:
         row_axis: int = 0,
         arena: ShmArena | None = None,
     ) -> Any:
-        """Run ``kernel`` over haloed row bands into one output.
+        """Run ``kernel`` over one haloed row band per worker into one
+        output.
 
         A single band calls the kernel directly on the whole frame;
         more bands go through :meth:`_fan_out`.  Passing an ``arena``
@@ -502,8 +466,7 @@ class TileExecutor:
         another copy), otherwise the array itself.
         """
         arrays = tuple(np.asarray(a) for a in arrays)
-        height = arrays[0].shape[0]
-        bands = split_rows(height, self._n_bands(height, kernel, arrays[0].shape), halo)
+        bands = split_rows(arrays[0].shape[0], self.workers, halo)
         if len(bands) > 1:
             out_shape, out_dtype = _band_output(kernel, arrays, kwargs)
             return self._fan_out(
@@ -560,20 +523,19 @@ class TileExecutor:
     ) -> np.ndarray:
         """Tiled :func:`~repro.stereo.census.census_block_match`.
 
-        Multi-band runs compute the right image's census transform
+        Multi-worker runs compute the right image's census transform
         once, in the parent, and hand every band the precomputed code
-        rows (the codes depend only on the right frame); the
-        single-band inline path calls the plain two-image matcher and
-        is the bit-identity reference for both.
+        rows (the codes depend only on the right frame); the inline
+        ``workers=1`` path calls the plain two-image matcher and is
+        the bit-identity reference for both.
         """
-        left = np.asarray(left)
         kwargs = dict(
             max_disp=max_disp,
             window=window,
             subpixel=subpixel,
             precision=self.precision,
         )
-        if self._n_bands(left.shape[0], "census", left.shape) == 1:
+        if self.workers == 1:
             return self._tiled(
                 "census", (left, right), kwargs,
                 halo=CENSUS_STENCIL.halo(window=window),
@@ -755,9 +717,8 @@ class TileExecutor:
         per-pixel, everything downstream reads only blurred rows.
         """
         A1, b1, A2, b2, flow = (np.asarray(a) for a in (A1, b1, A2, b2, flow))
-        height = flow.shape[0]
         halo = FLOW_STENCIL.halo(window_sigma=window_sigma)
-        bands = split_rows(height, self._n_bands(height, "flow", flow.shape), halo)
+        bands = split_rows(flow.shape[0], self.workers, halo)
         if len(bands) == 1:
             return flow_iteration(A1, b1, A2, b2, flow, window_sigma=window_sigma)
         return self._fan_out(

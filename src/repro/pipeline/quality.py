@@ -183,24 +183,19 @@ class QualityProbe:
         ``(0, 1]``; sub-sampling picks streams deterministically from
         ``seed``.  Cost-only streams are never probed.
     workers:
-        Worker-pool size for the kernels the probe executes.  ``1``
-        (the default) runs single-core; larger values run every key
-        matcher and every non-key guided search through a
-        :class:`~repro.parallel.TileExecutor`, which splits frames
-        into halo-padded row bands and fans them across a pool.  The
-        scores are bit-identical either way (pinned by tests) — only
-        the wall-clock changes.
+        Worker-pool size for the kernels the probe executes, an
+        integer >= 1.  ``1`` (the default) runs single-core; larger
+        values run every key matcher and every non-key guided search
+        through a :class:`~repro.parallel.TileExecutor`, which splits
+        frames into one halo-padded row band per worker and fans them
+        across a pool.  The scores are bit-identical either way
+        (pinned by tests) — only the wall-clock changes.
     precision:
         Cost-volume dtype for the executed kernels (``"float64"``
         default, ``"float32"`` halves kernel memory traffic).
     pool:
         ``"process"`` (default) or ``"thread"`` worker pool, when
         ``workers > 1``.
-    tile_rows:
-        Band height for the tiled kernels; the default ``"auto"``
-        asks the analytical model in :mod:`repro.parallel.autotune`
-        for this worker count and frame size (see
-        :class:`~repro.parallel.TileExecutor`).
 
     >>> QualityProbe(matcher="sgm").matcher_name
     'sgm'
@@ -223,7 +218,6 @@ class QualityProbe:
         workers: int = 1,
         precision: str = "float64",
         pool: str = "process",
-        tile_rows: int | str | None = "auto",
     ) -> None:
         if matcher not in _MATCHER_NAMES:
             raise ValueError(
@@ -242,7 +236,6 @@ class QualityProbe:
         self.executor = TileExecutor(
             workers=workers,
             pool=pool,
-            tile_rows=tile_rows,
             precision=precision,
         )
         self.matcher = self.executor.kernel(matcher)

@@ -480,9 +480,7 @@ def test_real_kernels_bit_identical_under_sanitizer(monkeypatch, kernel):
     from repro.datasets import sceneflow_scene
 
     frame = sceneflow_scene(5, size=(25, 36), max_disp=10).render(0)
-    with TileExecutor(workers=1) as ref_ex, TileExecutor(
-        workers=2, tile_rows=7
-    ) as ex:
+    with TileExecutor(workers=1) as ref_ex, TileExecutor(workers=4) as ex:
         ref = ref_ex.kernel(kernel)(frame.left, frame.right, 10)
         out = ex.kernel(kernel)(frame.left, frame.right, 10)
     assert np.array_equal(ref, out)

@@ -1,11 +1,12 @@
 """Tiled multi-core kernel execution: seams must be invisible.
 
 The contract of :mod:`repro.parallel` is *bit-identity*: splitting a
-frame into halo-padded row bands and stitching the results must
-reproduce whole-frame execution exactly — for every matcher, any band
-count (including bands far smaller than the search range), odd
-heights, both worker pools, and both precisions.  These tests pin
-that contract; the speed side lives in ``benchmarks/bench_kernels.py``.
+frame into one halo-padded row band per worker and stitching the
+results must reproduce whole-frame execution exactly — for every
+matcher, any worker count (including enough workers for bands far
+smaller than the search range), odd heights, both worker pools, and
+both precisions.  These tests pin that contract; the speed side lives
+in ``benchmarks/bench_kernels.py``.
 """
 
 import glob
@@ -100,16 +101,17 @@ class TestSplitRows:
 
 class TestExecutorValidation:
     def test_bad_workers(self):
-        with pytest.raises(ValueError):
-            TileExecutor(workers=0)
+        # only an integer >= 1: no silent truncation of 2.5, no bool
+        # standing in for 1, and a ValueError rather than a TypeError;
+        # QualityProbe(workers=) inherits the check
+        for make in (TileExecutor, QualityProbe):
+            for bad in (0, 2.5, True, "2"):
+                with pytest.raises(ValueError, match="workers must be an integer"):
+                    make(workers=bad)
 
     def test_bad_pool(self):
         with pytest.raises(ValueError):
             TileExecutor(pool="greenlet")
-
-    def test_bad_tile_rows(self):
-        with pytest.raises(ValueError):
-            TileExecutor(tile_rows=0)
 
     def test_bad_precision(self):
         with pytest.raises(ValueError):
@@ -123,11 +125,6 @@ class TestExecutorValidation:
             TileExecutor(workers=2, pool="process")
         assert TileExecutor(workers=2, pool="thread").workers == 2
         assert TileExecutor(workers=1, pool="process").workers == 1
-
-    def test_tile_rows_auto_accepted(self):
-        assert TileExecutor(tile_rows="auto").tile_rows == "auto"
-        with pytest.raises(ValueError):
-            TileExecutor(tile_rows="adaptive")
 
     def test_unknown_kernel(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -143,21 +140,44 @@ class TestExecutorValidation:
             TileExecutor().sgm(frame.left, frame.right, 8, paths=3)
 
 
+class TestBandingRule:
+    """One band per worker is the executor's only banding rule."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_call_cuts_one_band_per_worker(self, monkeypatch, workers):
+        asked = []
+
+        def recording_split_rows(height, n_bands, halo):
+            asked.append(n_bands)
+            return split_rows(height, n_bands, halo)
+
+        monkeypatch.setattr(executor_module, "split_rows", recording_split_rows)
+        scene = sceneflow_scene(7, size=(135, 48), max_disp=8, max_speed=1.5)
+        f0, f1 = scene.render(0), scene.render(1)
+        A1, b1 = poly_expansion(f0.left)
+        A2, b2 = poly_expansion(f1.left)
+        flow = np.zeros(A1.shape[:2] + (2,))
+        with TileExecutor(workers=workers, pool="thread") as ex:
+            ex.block_match(f0.left, f0.right, 8)
+            ex.census_block_match(f0.left, f0.right, 8)
+            ex.guided_block_match(f0.left, f0.right, f0.disparity)
+            ex.sgm(f0.left, f0.right, 8)
+            ex.poly_expansion(f0.left)
+            ex.flow_iteration(A1, b1, A2, b2, flow)
+            if workers == 1:
+                assert ex._pool is None  # inline: no pool was ever built
+        assert asked == [workers] * 6
+
+
 class TestSeamEquivalence:
     """Tiled output must be bit-identical to whole-frame output."""
 
     @pytest.mark.parametrize("name", available_kernels())
-    @pytest.mark.parametrize("tile_rows", [1, 4, 7])
-    def test_many_small_bands(self, frame, references, name, tile_rows):
-        # tile_rows as small as one row: far below MAX_DISP and RADIUS,
+    @pytest.mark.parametrize("workers", [2, 3, 4, 5, 6, 23])
+    def test_band_per_worker(self, frame, references, name, workers):
+        # 23 workers cut one-row bands: far below MAX_DISP and RADIUS,
         # which must not matter — the search is horizontal, the bands
         # keep full width, and the halo covers the filter window
-        with TileExecutor(workers=2, pool="thread", tile_rows=tile_rows) as ex:
-            assert np.array_equal(_tiled(ex, name, frame), references[name])
-
-    @pytest.mark.parametrize("name", available_kernels())
-    @pytest.mark.parametrize("workers", [2, 3, 5])
-    def test_band_per_worker(self, frame, references, name, workers):
         with TileExecutor(workers=workers, pool="thread") as ex:
             assert np.array_equal(_tiled(ex, name, frame), references[name])
 
@@ -175,16 +195,14 @@ class TestSeamEquivalence:
     @pytest.mark.parametrize("name", available_kernels())
     def test_float32_tiling_identical(self, frame, name):
         want = _REFERENCE[name](frame, precision="float32")
-        with TileExecutor(
-            workers=2, pool="thread", tile_rows=5, precision="float32"
-        ) as ex:
+        with TileExecutor(workers=5, pool="thread", precision="float32") as ex:
             assert np.array_equal(_tiled(ex, name, frame), want)
 
     def test_every_band_kernel_is_seam_checked(self, frame, references, monkeypatch):
         # closes the seam suite over the band-kernel registry: a kernel
         # registered without a whole-frame comparison here fails the
-        # last assert.  Both band sizes are needed: "census" is reached
-        # only through the one-band path, "census_coded" only banded
+        # last assert.  Both worker counts are needed: "census" is
+        # reached only inline, "census_coded" only banded
         seen = set()
         for name, kernel in list(executor_module._BAND_KERNELS.items()):
             def record(*args, _name=name, _kernel=kernel, **kwargs):
@@ -194,8 +212,8 @@ class TestSeamEquivalence:
             monkeypatch.setitem(executor_module._BAND_KERNELS, name, record)
         img = np.asarray(frame.left, dtype=np.float64)
         A_ref, b_ref = poly_expansion(img)
-        for tile_rows in (4, 64):
-            with TileExecutor(workers=2, pool="thread", tile_rows=tile_rows) as ex:
+        for workers in (6, 1):
+            with TileExecutor(workers=workers, pool="thread") as ex:
                 for name in available_kernels():
                     assert np.array_equal(_tiled(ex, name, frame), references[name])
                 A, b = ex.poly_expansion(img)
@@ -281,17 +299,16 @@ class TestSharedMemoryTransport:
         return set(glob.glob("/dev/shm/asv_*"))
 
     @pytest.mark.parametrize("name", available_kernels())
-    @pytest.mark.parametrize("tile_rows", [3, 7, None])
-    def test_seams_identical(self, frame, references, name, tile_rows):
-        with TileExecutor(workers=2, pool="process", tile_rows=tile_rows) as ex:
+    @pytest.mark.parametrize("workers", [8, 4, 2])
+    def test_seams_identical(self, frame, references, name, workers):
+        # sgm with fewer workers than its 8 paths cycles the shm slots
+        with TileExecutor(workers=workers, pool="process") as ex:
             assert np.array_equal(_tiled(ex, name, frame), references[name])
 
     @pytest.mark.parametrize("name", available_kernels())
     def test_float32_identical(self, frame, name):
         want = _REFERENCE[name](frame, precision="float32")
-        with TileExecutor(
-            workers=2, pool="process", tile_rows=5, precision="float32"
-        ) as ex:
+        with TileExecutor(workers=5, pool="process", precision="float32") as ex:
             assert np.array_equal(_tiled(ex, name, frame), want)
 
     def test_no_leaked_segments(self, frame):
@@ -314,7 +331,7 @@ class TestSharedMemoryTransport:
         # forked workers inherit the patched registry; jobs name the kernel
         monkeypatch.setitem(executor_module._BAND_KERNELS, "die", die_in_worker)
         before = self._segments()
-        with TileExecutor(workers=2, pool="process", tile_rows=None) as ex:
+        with TileExecutor(workers=2, pool="process") as ex:
             with pytest.raises(BrokenProcessPool):
                 ex._tiled("die", (frame.left,), {}, halo=0)
             assert ex._pool is None  # the broken pool was dropped
@@ -378,30 +395,30 @@ class TestFlowSeamEquivalence:
         return farneback_flow(f0.left, f1.left, levels=3, iterations=2,
                               window_sigma=2.5)
 
-    @pytest.mark.parametrize("tile_rows", [1, 4, 7])
-    def test_poly_expansion_many_small_bands(self, frames, tile_rows):
+    @pytest.mark.parametrize("workers", [63, 16, 9])
+    def test_poly_expansion_many_small_bands(self, frames, workers):
         img = np.asarray(frames[0].left, dtype=np.float64)
         A_ref, b_ref = poly_expansion(img)
-        with TileExecutor(workers=3, pool="thread", tile_rows=tile_rows) as ex:
+        with TileExecutor(workers=workers, pool="thread") as ex:
             A, b = ex.poly_expansion(img)
         assert np.array_equal(A, A_ref)
         assert np.array_equal(b, b_ref)
 
-    @pytest.mark.parametrize("tile_rows", [1, 5, 9])
-    def test_flow_iteration_bands(self, frames, tile_rows):
+    @pytest.mark.parametrize("workers", [63, 13, 7])
+    def test_flow_iteration_bands(self, frames, workers):
         f0, f1 = frames
         A1, b1 = poly_expansion(np.asarray(f0.left, dtype=np.float64))
         A2, b2 = poly_expansion(np.asarray(f1.left, dtype=np.float64))
         flow = np.zeros(A1.shape[:2] + (2,))
         ref = flow_iteration(A1, b1, A2, b2, flow, window_sigma=2.5)
-        with TileExecutor(workers=3, pool="thread", tile_rows=tile_rows) as ex:
+        with TileExecutor(workers=workers, pool="thread") as ex:
             got = ex.flow_iteration(A1, b1, A2, b2, flow, window_sigma=2.5)
         assert np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [2, 3, 11])
     def test_farneback_flow_thread_pool(self, frames, flow_reference, workers):
         f0, f1 = frames
-        with TileExecutor(workers=workers, pool="thread", tile_rows=6) as ex:
+        with TileExecutor(workers=workers, pool="thread") as ex:
             got = ex.farneback_flow(f0.left, f1.left, levels=3, iterations=2,
                                     window_sigma=2.5)
         assert np.array_equal(got, flow_reference)
@@ -409,7 +426,7 @@ class TestFlowSeamEquivalence:
     @pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory")
     def test_farneback_flow_process_pool(self, frames, flow_reference):
         f0, f1 = frames
-        with TileExecutor(workers=2, pool="process", tile_rows=7) as ex:
+        with TileExecutor(workers=9, pool="process") as ex:
             got = ex.farneback_flow(f0.left, f1.left, levels=3, iterations=2,
                                     window_sigma=2.5)
         assert np.array_equal(got, flow_reference)
@@ -418,8 +435,7 @@ class TestFlowSeamEquivalence:
         f0, f1 = frames
         ref = farneback_flow(f0.left, f1.left, levels=2, iterations=2,
                              precision="float32")
-        with TileExecutor(workers=3, pool="thread", tile_rows=5,
-                          precision="float32") as ex:
+        with TileExecutor(workers=13, pool="thread", precision="float32") as ex:
             got = ex.farneback_flow(f0.left, f1.left, levels=2, iterations=2)
         assert got.dtype == np.float32
         assert np.array_equal(got, ref)
@@ -430,7 +446,7 @@ class TestFlowSeamEquivalence:
         from repro.flow import expand_frame, flow_from_expansions
 
         f0, f1 = frames
-        with TileExecutor(workers=2, pool="thread", tile_rows=6) as ex:
+        with TileExecutor(workers=11, pool="thread") as ex:
             tiled_exp = ex.expand_frame(f0.left, levels=2)
         plain_exp = expand_frame(f0.left, levels=2)
         assert tiled_exp.shapes == plain_exp.shapes
@@ -453,7 +469,7 @@ class TestFlowSeamEquivalence:
         ).sequence(3)
         config = ISMConfig(propagation_window=4)
         plain = ISM(dnn=lambda f: f.disparity, config=config).run_sequence(video)
-        with TileExecutor(workers=2, pool="thread", tile_rows=8) as ex:
+        with TileExecutor(workers=8, pool="thread") as ex:
             tiled = ISM(
                 dnn=lambda f: f.disparity, config=config,
                 refiner=ex.guided_block_match, flow=ex,
