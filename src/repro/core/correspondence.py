@@ -16,6 +16,7 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,8 +125,15 @@ def propagate_correspondences(
     were computed for.  ``flow`` swaps the flow implementation: any
     object with :func:`~repro.flow.farneback.expand_frame` /
     :func:`~repro.flow.farneback.flow_from_expansions` methods (e.g. a
-    :class:`repro.parallel.TileExecutor` for tiled multi-core
-    execution); ``None`` runs the plain single-core functions.
+    single-worker :class:`repro.parallel.TileExecutor`); ``None`` runs
+    the plain single-core functions.  An executor with ``workers > 1``
+    splits flow by stream instead of by row bands: the right stream
+    runs on a helper thread that lives for this call only, while the
+    calling thread runs the left, each whole-frame through the plain
+    :mod:`repro.flow.farneback` kernels at the executor's
+    ``precision`` (a ``precision`` in ``flow_kwargs`` still wins).
+    The flow median and every later step run after both streams
+    finish, on the calling thread.
 
     Returns ``(propagated_disparity, known_mask, accumulated_flows)``
     where ``accumulated_flows`` is the ``(left, right)`` motion from
@@ -135,10 +143,13 @@ def propagate_correspondences(
     if flow_kwargs:
         kw.update(flow_kwargs)
     median_size = kw.pop("median_size", 5)
-    impl = _farneback if flow is None else flow
+    by_stream = getattr(flow, "workers", 1) > 1
+    impl = _farneback if flow is None or by_stream else flow
     expand_kw = dict(levels=kw.pop("levels"), sigma=kw.pop("sigma", 1.5))
     if "precision" in kw:
         expand_kw["precision"] = kw.pop("precision")
+    elif by_stream:
+        expand_kw["precision"] = flow.precision
     iter_kw = dict(
         iterations=kw.pop("iterations"), window_sigma=kw.pop("window_sigma")
     )
@@ -162,8 +173,17 @@ def propagate_correspondences(
             setattr(cache, side, cur_exp)
         return impl.flow_from_expansions(prev_exp, cur_exp, **iter_kw)
 
-    flow_l = stream_flow("left", prev.left, cur.left)
-    flow_r = stream_flow("right", prev.right, cur.right)
+    if by_stream:
+        # the streams share nothing (each writes only its own cache
+        # side), so the right one runs on a helper that the ``with``
+        # joins before returning or propagating either stream's error
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            right = helper.submit(stream_flow, "right", prev.right, cur.right)
+            flow_l = stream_flow("left", prev.left, cur.left)
+            flow_r = right.result()
+    else:
+        flow_l = stream_flow("left", prev.left, cur.left)
+        flow_r = stream_flow("right", prev.right, cur.right)
     if median_size:
         # median filtering sharpens motion boundaries the Gaussian
         # window of the flow estimator smears across object edges

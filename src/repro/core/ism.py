@@ -74,7 +74,10 @@ class ISM:
     ``flow`` the motion estimator (an object with ``expand_frame`` /
     ``flow_from_expansions`` methods); the serving stack passes a
     :class:`repro.parallel.TileExecutor` bound method / the executor
-    itself here so non-key frames run tiled multi-core.
+    itself here so non-key frames run multi-core: tiled guided
+    refinement, and at ``workers > 1`` the two streams' flow at the
+    same time (see
+    :func:`~repro.core.correspondence.propagate_correspondences`).
 
     The estimator is *stateful and online*: :meth:`step` consumes one
     frame at a time (the shape a robot control loop needs);

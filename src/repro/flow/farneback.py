@@ -286,21 +286,25 @@ def flow_iteration(
     fx = (sx - x0).astype(dtype, copy=False)
 
     # pack the five channels so each bilinear corner is a single
-    # fancy-indexing gather of five contiguous values instead of five
-    # strided ones (the weights broadcast over the packed axis, so the
-    # per-element arithmetic — and therefore every bit of the result —
-    # is unchanged)
+    # gather of five contiguous values instead of five strided ones
+    # (the weights broadcast over the packed axis, so the per-element
+    # arithmetic — and therefore every bit of the result — is
+    # unchanged); ``np.take`` on flat row indices gathers faster than
+    # 2-D fancy indexing
     packed = np.empty((fh, fw, 5), dtype)
     packed[..., 0] = A2[..., 0, 0]
     packed[..., 1] = A2[..., 0, 1]
     packed[..., 2] = A2[..., 1, 1]
     packed[..., 3] = b2[..., 0]
     packed[..., 4] = b2[..., 1]
+    flat = packed.reshape(fh * fw, 5)
+    r0 = y0 * fw
+    r1 = y1 * fw
     wx = fx[..., None]
     wy = fy[..., None]
     omx = 1 - wx
-    top = packed[y0, x0] * omx + packed[y0, x1] * wx
-    bot = packed[y1, x0] * omx + packed[y1, x1] * wx
+    top = np.take(flat, r0 + x0, axis=0) * omx + np.take(flat, r0 + x1, axis=0) * wx
+    bot = np.take(flat, r1 + x0, axis=0) * omx + np.take(flat, r1 + x1, axis=0) * wx
     warped = top * (1 - wy) + bot * wy
 
     A00 = 0.5 * (A1[..., 0, 0] + warped[..., 0])

@@ -761,8 +761,10 @@ class TileExecutor:
         The executor exposes the same ``expand_frame`` /
         ``flow_from_expansions`` split as :mod:`repro.flow.farneback`,
         so it can be passed wholesale as :class:`repro.core.ism.ISM`'s
-        ``flow=`` implementation — the cross-frame expansion cache then
-        caches *tiled* expansions.
+        ``flow=`` implementation.  At ``workers=1`` the ISM's flow then
+        runs through these methods; at ``workers > 1``
+        :func:`~repro.core.correspondence.propagate_correspondences`
+        splits flow by stream instead, on the plain kernels.
         """
         exp0 = self.expand_frame(frame0, levels, sigma=sigma, precision=precision)
         exp1 = self.expand_frame(frame1, levels, sigma=sigma, precision=precision)

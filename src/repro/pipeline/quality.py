@@ -297,9 +297,9 @@ class QualityProbe:
         """
         config = stream.ism or self.ism
         # the whole non-key path runs through the executor: tiled
-        # guided refinement and tiled Farneback flow (bit-identical to
-        # the single-core path, so scores replay byte-identically
-        # across worker configurations)
+        # guided refinement, and Farneback flow split by stream at
+        # workers > 1 (bit-identical to the single-core path, so
+        # scores replay byte-identically across worker configurations)
         ism = ISM(
             lambda f: self.matcher(f.left, f.right, self.max_disp),
             config=config,

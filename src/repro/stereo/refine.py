@@ -23,23 +23,27 @@ def median2d(a: np.ndarray, size: int, mode: str = "reflect") -> np.ndarray:
     smoothing hot path); small windows stay on scipy, whose moving
     histogram wins there.
 
-    A 3-D input is a stack of planes, each filtered independently in
-    its last two axes (one fused call for e.g. the four flow
-    components the non-key path smooths per step).
+    A 3-D input is a stack of planes (e.g. the four flow components
+    the non-key path smooths per step), each filtered independently
+    in its last two axes.  The planes are filtered one at a time into
+    one freshly allocated output, so only one plane's window buffer
+    is alive at once and the result keeps none of them alive.
     """
     if size <= 3 or size % 2 == 0:
         full = (1,) * (a.ndim - 2) + (size, size)
         return ndimage.median_filter(a, size=full, mode=mode)
     r = size // 2
-    spatial = ((r, r), (r, r))
-    pad = np.pad(a, ((0, 0),) * (a.ndim - 2) + spatial, mode=_PAD_MODE[mode])
-    win = sliding_window_view(pad, (size, size), axis=(-2, -1))
-    # reshaping the strided window view materialises a copy we own,
-    # so the partition can run in place instead of copying again
-    flat = win.reshape(win.shape[:-2] + (size * size,))
     k = (size * size) // 2
-    flat.partition(k, axis=-1)
-    return flat[..., k]
+    out = np.empty(a.shape, a.dtype)
+    for plane in np.ndindex(a.shape[:-2]):
+        pad = np.pad(a[plane], r, mode=_PAD_MODE[mode])
+        win = sliding_window_view(pad, (size, size))
+        # reshaping the strided window view materialises a copy we
+        # own, so the partition can run in place instead of copying
+        flat = win.reshape(win.shape[:-2] + (size * size,))
+        flat.partition(k, axis=-1)
+        out[plane] = flat[..., k]
+    return out
 
 
 def left_right_check(

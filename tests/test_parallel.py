@@ -11,13 +11,18 @@ in ``benchmarks/bench_kernels.py``.
 
 import glob
 import os
+import sys
+import threading
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import ISM, ISMConfig
+from repro.core.correspondence import ExpansionCache, propagate_correspondences
 from repro.datasets import sceneflow_scene
+from repro.flow import farneback as farneback_module
 from repro.flow import farneback_flow, flow_iteration, poly_expansion
 from repro.parallel import TileExecutor, available_kernels, shm_available, split_rows
 from repro.parallel import executor as executor_module
@@ -462,8 +467,6 @@ class TestFlowSeamEquivalence:
     def test_ism_with_executor_flow_bitwise(self, frames):
         """An ISM whose flow= is a multi-worker executor serves the
         same disparities as the plain single-core ISM."""
-        from repro.core import ISM, ISMConfig
-
         video = sceneflow_scene(
             32, size=(63, 82), max_disp=12, max_speed=2.0
         ).sequence(3)
@@ -476,3 +479,120 @@ class TestFlowSeamEquivalence:
             ).run_sequence(video)
         for a, b in zip(plain.disparities, tiled.disparities):
             assert np.array_equal(a, b)
+
+
+#: pools a multi-worker executor can run on here
+_POOL_PARAMS = [
+    "thread",
+    pytest.param(
+        "process",
+        marks=pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory"),
+    ),
+]
+
+
+class TestStreamSplitFlow:
+    """At ``workers > 1`` the ISM splits flow by stream: the right
+    stream runs on a per-call helper thread, the left on the caller's,
+    each through the plain :mod:`repro.flow.farneback` kernels."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        return sceneflow_scene(33, size=(63, 82), max_disp=12, max_speed=2.0)
+
+    def _propagate(self, scene, flow, cache=None):
+        prev, cur = scene.render(0), scene.render(1)
+        return propagate_correspondences(
+            prev, cur, prev.disparity, cache=cache, flow=flow
+        )
+
+    @pytest.fixture
+    def flow_calls(self, monkeypatch):
+        """``(thread id, exp1, step)`` of every ``flow_from_expansions``
+        call, whoever makes it."""
+        calls = []
+        original = farneback_module.flow_from_expansions
+
+        def recording(exp0, exp1, *args, **kwargs):
+            calls.append((threading.get_ident(), exp1, kwargs.get("step")))
+            return original(exp0, exp1, *args, **kwargs)
+
+        monkeypatch.setattr(farneback_module, "flow_from_expansions", recording)
+        return calls
+
+    @pytest.mark.parametrize("pool", _POOL_PARAMS)
+    def test_streams_run_on_two_threads(self, scene, flow_calls, pool):
+        cache = ExpansionCache()
+        with TileExecutor(workers=2, pool=pool) as ex:
+            self._propagate(scene, ex, cache)
+        by_stream = {id(exp1): (ident, step) for ident, exp1, step in flow_calls}
+        assert len(flow_calls) == 2
+        left_ident, left_step = by_stream[id(cache.left)]
+        right_ident, right_step = by_stream[id(cache.right)]
+        assert left_ident == threading.get_ident()
+        assert right_ident != left_ident
+        # whole-frame plain kernels, not the executor's banded ones
+        assert left_step is None and right_step is None
+
+    def test_single_worker_flow_stays_on_the_executor(self, scene, flow_calls):
+        with TileExecutor(workers=1) as ex:
+            self._propagate(scene, ex)
+        assert len(flow_calls) == 2
+        for ident, _exp1, step in flow_calls:
+            assert ident == threading.get_ident()
+            assert step.__func__ is TileExecutor.flow_iteration
+            assert step.__self__ is ex
+
+    @pytest.mark.parametrize("pool", _POOL_PARAMS)
+    def test_ism_bitwise_without_hangs(self, scene, pool):
+        video = scene.sequence(6)
+        config = ISMConfig(propagation_window=4)
+        plain = ISM(dnn=lambda f: f.disparity, config=config).run_sequence(video)
+        results = []
+        ex = TileExecutor(workers=2, pool=pool)
+        # start the pool on this thread, so no fork happens while the
+        # watched thread is alive
+        ex.block_match(video[0].left, video[0].right, 12)
+        ism = ISM(
+            dnn=lambda f: f.disparity, config=config,
+            refiner=ex.guided_block_match, flow=ex,
+        )
+        worker = threading.Thread(
+            target=lambda: results.append(ism.run_sequence(video)),
+            daemon=True,
+        )
+        # switch threads often, so the two streams' cache writes
+        # interleave as finely as the interpreter allows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive(), "the two-stream ISM deadlocked"
+        ex.close()  # only now: closing a deadlocked pool would hang
+        assert len(results) == 1
+        assert results[0].key_frames == plain.key_frames
+        for a, b in zip(plain.disparities, results[0].disparities, strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_failing_stream_propagates_and_joins(self, scene, monkeypatch, side):
+        class StreamFailure(RuntimeError):
+            pass
+
+        failing = getattr(scene.render(1), side)
+        original = farneback_module.expand_frame
+
+        def expand(frame, *args, **kwargs):
+            if np.array_equal(frame, failing):
+                raise StreamFailure(side)
+            return original(frame, *args, **kwargs)
+
+        monkeypatch.setattr(farneback_module, "expand_frame", expand)
+        before = threading.active_count()
+        with TileExecutor(workers=2, pool="thread") as ex:
+            with pytest.raises(StreamFailure, match=side):
+                self._propagate(scene, ex)
+            assert threading.active_count() == before

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from repro.stereo import (
     BUMBLEBEE2,
@@ -16,7 +17,7 @@ from repro.stereo import (
     three_pixel_error,
 )
 from repro.stereo.elas import interpolate_prior, support_points
-from repro.stereo.refine import fill_background
+from repro.stereo.refine import fill_background, median2d
 from repro.stereo.seeds import grow_seeds
 
 
@@ -169,6 +170,19 @@ class TestFills:
         disp[3, 3] = 40.0
         out = median_clean(disp, 3)
         assert out[3, 3] == 4.0
+
+
+class TestMedian2d:
+    @pytest.mark.parametrize("size", [3, 5, 7])
+    @pytest.mark.parametrize("shape", [(29, 41), (4, 29, 41)])
+    def test_matches_scipy_and_owns_its_memory(self, shape, size):
+        a = np.random.default_rng(size).standard_normal(shape)
+        out = median2d(a, size)
+        ref = ndimage.median_filter(a, size=(1,) * (a.ndim - 2) + (size, size))
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+        # a view would keep the whole window buffer alive
+        assert out.base is None
 
 
 class TestSupportPointsAndPriors:
