@@ -13,7 +13,10 @@ Two layers:
   contract is asserted for the tiled run (bit-identical output — this
   is the part CI smoke-runs), every latency lands in
   ``benchmarks/results/BENCH_kernels.json``, and the run must leave no
-  stray ``/dev/shm/asv_*`` segments behind.
+  stray ``/dev/shm/asv_*`` segments behind.  Flow is not banded: the
+  non-key bench times the Farneback kernels against their tap-loop
+  and scalar baselines, and asserts that a multi-worker ISM (flow
+  split by stream, guided search tiled) serves the serial disparities.
 
 Wall-clock *speedup* is machine-dependent (worker count, core count,
 thermal state), so it is printed and recorded but only asserted when
@@ -628,11 +631,11 @@ def test_nonkey_path_before_after(save_table):
     """Before/after for every non-key kernel + the served ISM step.
 
     Always asserted, any machine: the batched guided search is
-    bit-identical to the per-offset loop, the tiled flow is
-    bit-identical to the vectorized flow, the cached ISM serves
-    bit-identical disparities to the uncached one, and the per-pixel
-    scalar flow baseline agrees with the kernel.  The wall-clock gates
-    (vectorized flow >= 3x the scalar loops, cached step beating
+    bit-identical to the per-offset loop, the cached ISM serves
+    bit-identical disparities to the uncached one, the tiled ISM
+    serves the serial one's, and the per-pixel scalar flow baseline
+    agrees with the kernel.  The wall-clock gates (vectorized flow
+    >= 3x the scalar loops, cached step beating
     uncached, the served step >= 3x over the full PR-7 stack — tap
     flow, per-offset guided loop, scipy rank-filter medians, no
     cache) are opt-in via ``ASV_BENCH_ASSERT_SPEEDUP=1`` like every
@@ -668,18 +671,7 @@ def test_nonkey_path_before_after(save_table):
         - _tap_flow_iteration(A1, b1, A2, b2, flow0, 2.5)
     ).max()
 
-    # --- tiled flow: bit-identical to the vectorized single-core flow
-    vec_flow = farneback_flow(f0, f1, levels=3, iterations=2, window_sigma=2.5)
-    with TileExecutor(workers=WORKERS, pool="process") as ex:
-        tiled_flow = ex.farneback_flow(f0, f1, levels=3, iterations=2,
-                                       window_sigma=2.5)
-        assert np.array_equal(vec_flow, tiled_flow), (
-            "tiled flow differs from single-core flow"
-        )
-        t_tiled_flow = _clock(
-            lambda: ex.farneback_flow(f0, f1, levels=3, iterations=2,
-                                      window_sigma=2.5), reps=2
-        )
+    # --- the whole vectorized flow
     t_vec_flow = _clock(
         lambda: farneback_flow(f0, f1, levels=3, iterations=2,
                                window_sigma=2.5), reps=2
@@ -779,10 +771,7 @@ def test_nonkey_path_before_after(save_table):
             "speedup": t_scalar_iter / t_small_iter,
             "max_abs_dev": float(scalar_dev),
         },
-        "farneback": {
-            "vectorized_s": t_vec_flow, "tiled_s": t_tiled_flow,
-            "tiled_identical": True,
-        },
+        "farneback": {"vectorized_s": t_vec_flow},
         "guided_bm": {
             "loop_s": t_loop_guided, "batched_s": t_batched_guided,
             "speedup": t_loop_guided / t_batched_guided,

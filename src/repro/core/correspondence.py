@@ -127,9 +127,9 @@ def propagate_correspondences(
     :func:`~repro.flow.farneback.flow_from_expansions` methods (e.g. a
     single-worker :class:`repro.parallel.TileExecutor`); ``None`` runs
     the plain single-core functions.  An executor with ``workers > 1``
-    splits flow by stream instead of by row bands: the right stream
-    runs on a helper thread that lives for this call only, while the
-    calling thread runs the left, each whole-frame through the plain
+    splits flow by stream: the right stream runs on a helper thread
+    that lives for this call only, while the calling thread runs the
+    left, each whole-frame through the plain
     :mod:`repro.flow.farneback` kernels at the executor's
     ``precision`` (a ``precision`` in ``flow_kwargs`` still wins).
     The flow median and every later step run after both streams

@@ -49,6 +49,8 @@ class ISMConfig:
             raise ValueError("propagation window must be >= 1")
         if self.search_radius < 1 or self.block_size < 3:
             raise ValueError("invalid search parameters")
+        if self.block_size % 2 == 0:
+            raise ValueError(f"block_size must be odd, got {self.block_size}")
 
 
 @dataclass

@@ -45,13 +45,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from repro.flow.gaussian import batched_gaussian_blur, downsample2, gaussian_kernel1d
-from repro.parallel.tiles import Stencil, gaussian_support_radius
+from repro.flow.gaussian import (
+    batched_gaussian_blur,
+    downsample2,
+    gaussian_kernel1d,
+    gaussian_support_radius,
+)
 from repro.stereo.block_matching import resolve_precision
 
 __all__ = [
-    "EXPANSION_STENCIL",
-    "FLOW_STENCIL",
     "FrameExpansion",
     "poly_expansion",
     "expand_frame",
@@ -65,24 +67,11 @@ __all__ = [
 #: pre-cache implementation, so cached pyramids line up exactly)
 _MIN_PYRAMID_SIDE = 16
 
-#: vertical reach of the polynomial expansion: the moment filters' tap
-#: radius — 3-sigma support unless an explicit ``radius`` overrides it
-EXPANSION_STENCIL = Stencil.gaussian("sigma", override="radius")
-
-#: vertical reach of one flow iteration: the Gaussian averaging
-#: window's tap radius (everything upstream of the blur is per-pixel,
-#: everything downstream reads only blurred rows)
-FLOW_STENCIL = Stencil.blur("window_sigma")
-
 
 def _moment_filters(sigma: float, radius: int):
     g = gaussian_kernel1d(sigma, radius)
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     return g, g * x, g * x * x
-
-
-def _expansion_radius(sigma: float) -> int:
-    return gaussian_support_radius(sigma)
 
 
 def _corr(img: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
@@ -115,7 +104,7 @@ def poly_expansion(
     if img.ndim != 2:
         raise ValueError("poly_expansion expects a grayscale image")
     if radius is None:
-        radius = _expansion_radius(sigma)
+        radius = gaussian_support_radius(sigma)
     g0, g1, g2 = _moment_filters(sigma, radius)
 
     # Gaussian-weighted image moments <I * y^a x^b>: 3 shared y-passes
@@ -246,18 +235,11 @@ def expand_frame(
 
 
 def flow_iteration(
-    A1, b1, A2, b2, flow: np.ndarray, window_sigma: float = 4.0, row0: int = 0
+    A1, b1, A2, b2, flow: np.ndarray, window_sigma: float = 4.0
 ) -> np.ndarray:
     """One Farneback update: warp, matrix update, Gaussian average,
-    per-pixel 2x2 solve.  ``flow`` is (H, W, 2) in (dy, dx).
-
-    ``A1``/``b1``/``flow`` may be a row band of the frame while
-    ``A2``/``b2`` stay whole-frame: ``row0`` is then the band's
-    absolute first row, so the warp gathers (which reach anywhere in
-    the frame) index ``A2``/``b2`` at the correct global coordinates.
-    This is the hook :class:`repro.parallel.TileExecutor` tiles the
-    iteration through; ``row0=0`` with equal shapes is the ordinary
-    whole-frame call.
+    per-pixel 2x2 solve.  ``flow`` is (H, W, 2) in (dy, dx), and every
+    coefficient map covers the same (H, W) frame.
 
     Only the three distinct components of the symmetric ``G = A^T A``
     and the two of ``h = A^T db`` are Gaussian-averaged, as one fused
@@ -265,11 +247,10 @@ def flow_iteration(
     """
     dtype = flow.dtype
     h, w = flow.shape[:2]
-    fh, fw = A2.shape[:2]
-    yy = (row0 + np.arange(h, dtype=dtype))[:, None]
+    yy = np.arange(h, dtype=dtype)[:, None]
     xx = np.arange(w, dtype=dtype)[None, :]
-    sy = np.clip(yy + flow[..., 0], 0, fh - 1)
-    sx = np.clip(xx + flow[..., 1], 0, fw - 1)
+    sy = np.clip(yy + flow[..., 0], 0, h - 1)
+    sx = np.clip(xx + flow[..., 1], 0, w - 1)
 
     # bilinear warp of the five distinct second-frame channels with
     # shared gather coordinates (A2 is symmetric by construction)
@@ -277,8 +258,8 @@ def flow_iteration(
     # the floor — one pass instead of floor-then-cast
     y0 = sy.astype(np.intp)
     x0 = sx.astype(np.intp)
-    y1 = np.minimum(y0 + 1, fh - 1)
-    x1 = np.minimum(x0 + 1, fw - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
     # keep the interpolation weights in the working dtype: float32
     # minus an int64 index grid would silently promote the whole warp
     # (and the blurred stack below) to float64
@@ -291,15 +272,15 @@ def flow_iteration(
     # arithmetic — and therefore every bit of the result — is
     # unchanged); ``np.take`` on flat row indices gathers faster than
     # 2-D fancy indexing
-    packed = np.empty((fh, fw, 5), dtype)
+    packed = np.empty((h, w, 5), dtype)
     packed[..., 0] = A2[..., 0, 0]
     packed[..., 1] = A2[..., 0, 1]
     packed[..., 2] = A2[..., 1, 1]
     packed[..., 3] = b2[..., 0]
     packed[..., 4] = b2[..., 1]
-    flat = packed.reshape(fh * fw, 5)
-    r0 = y0 * fw
-    r1 = y1 * fw
+    flat = packed.reshape(h * w, 5)
+    r0 = y0 * w
+    r1 = y1 * w
     wx = fx[..., None]
     wy = fy[..., None]
     omx = 1 - wx
@@ -355,9 +336,9 @@ def flow_from_expansions(
     """Coarse-to-fine flow between two pre-expanded frames.
 
     ``step`` swaps the per-level update — e.g. a
-    :meth:`repro.parallel.TileExecutor.flow_iteration` bound method
-    for tiled multi-core execution; ``None`` runs the plain
-    :func:`flow_iteration`.  Any replacement must keep its signature.
+    :meth:`repro.parallel.TileExecutor.flow_iteration` bound method;
+    ``None`` runs the plain :func:`flow_iteration`.  Any replacement
+    must keep its signature.
     """
     if exp0.shapes != exp1.shapes:
         raise ValueError("frames must share a shape")

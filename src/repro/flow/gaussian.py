@@ -7,9 +7,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from repro.parallel.tiles import blur_tap_radius
-
 __all__ = [
+    "gaussian_support_radius",
+    "blur_tap_radius",
     "gaussian_kernel1d",
     "blur_kernel1d",
     "gaussian_blur",
@@ -17,6 +17,30 @@ __all__ = [
     "downsample2",
     "gaussian_blur_ops",
 ]
+
+
+def gaussian_support_radius(sigma: float) -> int:
+    """Tap radius of a 3-sigma Gaussian moment filter.
+
+    The Farneback polynomial-expansion support
+    (:func:`repro.flow.farneback.poly_expansion` and its op count).
+
+    >>> gaussian_support_radius(1.5)
+    4
+    """
+    return max(2, int(round(3.0 * sigma)))
+
+
+def blur_tap_radius(sigma: float) -> int:
+    """Tap radius of a ``gaussian_filter``-compatible blur.
+
+    scipy truncates at ``4 * sigma`` (its default); this is the exact
+    radius :func:`blur_kernel1d` builds its taps with.
+
+    >>> blur_tap_radius(4.0)
+    16
+    """
+    return int(4.0 * sigma + 0.5)
 
 
 def gaussian_kernel1d(sigma: float, radius: int | None = None) -> np.ndarray:

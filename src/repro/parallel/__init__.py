@@ -12,7 +12,10 @@ them across a process/thread pool, and stitches results that are
 
 Each multi-worker call cuts one band per worker, and process-pool
 jobs receive named shared memory (:mod:`repro.parallel.shm`) instead
-of pickled arrays.
+of pickled arrays.  Flow is not banded: the executor's flow methods
+run the plain whole-frame kernels, and at ``workers > 1`` the ISM
+splits flow by stream instead
+(:func:`~repro.core.correspondence.propagate_correspondences`).
 
 >>> from repro.parallel import TileExecutor, available_kernels
 >>> available_kernels()
@@ -21,38 +24,14 @@ of pickled arrays.
 4
 """
 
-from typing import TYPE_CHECKING, Any
-
-from repro.parallel.tiles import RowBand, Stencil, split_rows
-
-if TYPE_CHECKING:  # the lazy names below, visible to type checkers
-    from repro.parallel.executor import TileExecutor, available_kernels
-    from repro.parallel.shm import ShmArena, ShmHandle, shm_available
-
-_EXECUTOR_EXPORTS = ("TileExecutor", "available_kernels")
-_SHM_EXPORTS = ("ShmArena", "ShmHandle", "shm_available")
-
-
-def __getattr__(name: str) -> Any:
-    # Lazy because the kernel modules (`repro.stereo`, `repro.flow`)
-    # import their stencil declarations from `repro.parallel.tiles` — an
-    # eager executor import here would close an import cycle back into
-    # those half-initialised modules.
-    if name in _EXECUTOR_EXPORTS:
-        from repro.parallel import executor
-
-        return getattr(executor, name)
-    if name in _SHM_EXPORTS:
-        from repro.parallel import shm
-
-        return getattr(shm, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.parallel.executor import TileExecutor, available_kernels
+from repro.parallel.shm import ShmArena, ShmHandle, shm_available
+from repro.parallel.tiles import RowBand, split_rows
 
 __all__ = [
     "RowBand",
     "ShmArena",
     "ShmHandle",
-    "Stencil",
     "TileExecutor",
     "available_kernels",
     "shm_available",

@@ -4,13 +4,10 @@
 :func:`~repro.stereo.block_matching.block_match`,
 :func:`~repro.stereo.census.census_block_match`,
 :func:`~repro.stereo.sgm.sgm` and
-:func:`~repro.stereo.block_matching.guided_block_match` — plus the
-non-key flow kernels (:func:`~repro.flow.farneback.poly_expansion` and
-:func:`~repro.flow.farneback.flow_iteration`, see
-:meth:`TileExecutor.farneback_flow`) split into overlap-halo row bands
-(:mod:`repro.parallel.tiles`) and fanned across a process or thread
-pool, then stitches the bands back together.  The result is
-**bit-identical** to whole-frame execution:
+:func:`~repro.stereo.block_matching.guided_block_match` — split into
+overlap-halo row bands (:mod:`repro.parallel.tiles`) and fanned across
+a process or thread pool, then stitches the bands back together.  The
+result is **bit-identical** to whole-frame execution:
 
 * the halo covers each kernel's vertical data dependence (the
   box-filter / census window radius), so every payload pixel sees the
@@ -46,6 +43,14 @@ memory), and is the reference the seam-equivalence tests pin every
 multi-worker configuration against.  The ``precision`` knob selects
 the cost-volume dtype for every kernel the executor runs.
 
+The non-key flow methods (:meth:`TileExecutor.expand_frame`,
+:meth:`~TileExecutor.flow_from_expansions`, ...) are not banded: they
+call the whole-frame :mod:`repro.flow.farneback` kernels at the
+executor's precision, so the executor can be an ISM's ``flow=``.  At
+``workers > 1``
+:func:`~repro.core.correspondence.propagate_correspondences` splits
+flow by stream instead, on the plain kernels.
+
 >>> import numpy as np
 >>> from repro.datasets import sceneflow_scene
 >>> from repro.stereo import block_match
@@ -69,15 +74,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from repro.flow import farneback as _fb
-from repro.flow.farneback import (
-    EXPANSION_STENCIL,
-    FLOW_STENCIL,
-    FrameExpansion,
-    _as_gray,
-    _pyramid,
-    flow_iteration,
-    poly_expansion,
-)
+from repro.flow.farneback import FrameExpansion
 from repro.parallel.shm import (
     ShmArena,
     ShmHandle,
@@ -90,13 +87,12 @@ from repro.parallel.shm import (
 )
 from repro.parallel.tiles import split_rows
 from repro.stereo.block_matching import (
-    BLOCK_STENCIL,
     block_match,
     guided_block_match,
     resolve_precision,
     sad_cost_volume,
 )
-from repro.stereo.census import CENSUS_STENCIL, census_block_match, census_transform
+from repro.stereo.census import census_block_match, census_transform
 from repro.stereo.sgm import _DIRECTIONS_8, aggregate_path, wta_disparity
 
 __all__ = ["TileExecutor", "available_kernels"]
@@ -113,25 +109,6 @@ def _census_coded(left: np.ndarray, right_codes: np.ndarray, **kwargs) -> np.nda
     return census_block_match(left, None, right_codes=right_codes, **kwargs)
 
 
-def _poly_band(img: np.ndarray, **kwargs) -> np.ndarray:
-    """Band kernel: polynomial expansion packed into one dense map.
-
-    ``(A, b)`` of a band, packed as the five distinct channels
-    ``[A00, A01, A11, b0, b1]`` of an (h, w, 5) array (``A`` is
-    symmetric) so the generic banded machinery — which stitches one
-    output array — applies unchanged; the executor unpacks on the way
-    out.  Packing copies values bit-for-bit.
-    """
-    A, b = poly_expansion(img, **kwargs)
-    out = np.empty(A.shape[:2] + (5,), A.dtype)
-    out[..., 0] = A[..., 0, 0]
-    out[..., 1] = A[..., 0, 1]
-    out[..., 2] = A[..., 1, 1]
-    out[..., 3] = b[..., 0]
-    out[..., 4] = b[..., 1]
-    return out
-
-
 #: whole-frame callables a band job may name (names, not functions,
 #: cross the process boundary)
 _BAND_KERNELS: dict[str, Callable[..., np.ndarray]] = {
@@ -139,7 +116,6 @@ _BAND_KERNELS: dict[str, Callable[..., np.ndarray]] = {
     "census": census_block_match,
     "census_coded": _census_coded,
     "guided": guided_block_match,
-    "poly": _poly_band,
     "sad_cost": sad_cost_volume,
 }
 
@@ -166,24 +142,6 @@ def _operand(stack: ExitStack, ref: np.ndarray | ShmHandle) -> np.ndarray:
     return ref
 
 
-def _write_rows(
-    out: np.ndarray | ShmHandle,
-    part: np.ndarray,
-    row_axis: int,
-    start: int,
-    label: str,
-) -> None:
-    """Copy a band's payload into its rows of the output, starting at
-    row ``start`` (claimed first when the shm sanitizer is armed)."""
-    with ExitStack() as stack:
-        dest = _operand(stack, out)
-        rows = (slice(None),) * row_axis
-        rows += (slice(start, start + part.shape[row_axis]),)
-        if sanitize_enabled():
-            claim_region(dest, rows, label=label)
-        np.copyto(dest[rows], part)
-
-
 def _run_band(
     kernel: str,
     inputs: Sequence[np.ndarray | ShmHandle],
@@ -199,7 +157,8 @@ def _run_band(
 
     The job slices rows ``[lo, hi)`` of every whole-frame input, keeps
     the ``crop`` rows of the kernel's output and writes them at row
-    ``start`` of ``out``.  Top-level so process pools can pickle the
+    ``start`` of ``out`` (claimed first when the shm sanitizer is
+    armed).  Top-level so process pools can pickle the
     job: the kernel is named rather than passed, and on a process pool
     every operand is a :class:`~repro.parallel.shm.ShmHandle`, so only
     names cross the pool pipe.
@@ -208,35 +167,14 @@ def _run_band(
         arrays = tuple(_operand(stack, a)[lo:hi] for a in inputs)
         part = _BAND_KERNELS[kernel](*arrays, **kwargs)
         del arrays
-    part = part[(slice(None),) * row_axis + (slice(*crop),)]
-    _write_rows(out, part, row_axis, start, label=f"{kernel} band")
-
-
-def _flow_band(
-    inputs: Sequence[np.ndarray | ShmHandle],
-    lo: int,
-    hi: int,
-    window_sigma: float,
-    crop: tuple[int, int],
-    out: np.ndarray | ShmHandle,
-    start: int,
-) -> None:
-    """One banded Farneback iteration, written into ``out``.
-
-    ``inputs`` are the whole-frame ``A1, b1, A2, b2, flow``.  The job
-    slices its own ``A1``/``b1``/``flow`` rows; ``A2``/``b2`` stay
-    whole-frame because the warp gathers reach anywhere in the frame,
-    and ``row0`` anchors the band's coordinates globally (see
-    :func:`repro.flow.farneback.flow_iteration`).
-    """
+    lead = (slice(None),) * row_axis
+    part = part[lead + (slice(*crop),)]
+    rows = lead + (slice(start, start + part.shape[row_axis]),)
     with ExitStack() as stack:
-        A1, b1, A2, b2, flow = (_operand(stack, a) for a in inputs)
-        part = flow_iteration(
-            A1[lo:hi], b1[lo:hi], A2, b2, flow[lo:hi],
-            window_sigma=window_sigma, row0=lo,
-        )
-        del A1, b1, A2, b2, flow
-    _write_rows(out, part[slice(*crop)], 0, start, label="flow band")
+        dest = _operand(stack, out)
+        if sanitize_enabled():
+            claim_region(dest, rows, label=f"{kernel} band")
+        np.copyto(dest[rows], part)
 
 
 def _run_direction(
@@ -270,8 +208,6 @@ def _band_output(
     h, w = arrays[0].shape[:2]
     if kernel == "sad_cost":
         return (kwargs["max_disp"], h, w), resolve_precision(kwargs["precision"])
-    if kernel == "poly":
-        return (h, w, 5), resolve_precision(kwargs["precision"])
     return (h, w), np.dtype(np.float64)
 
 
@@ -400,52 +336,6 @@ class TileExecutor:
     # ------------------------------------------------------------------
     # row-band tiling
     # ------------------------------------------------------------------
-    def _fan_out(
-        self,
-        job: Callable[..., None],
-        arrays: Sequence[np.ndarray],
-        out_shape: tuple[int, ...],
-        out_dtype: np.dtype,
-        make_jobs: Callable[[tuple, Any], list[tuple]],
-        label: str,
-        arena: ShmArena | None = None,
-    ) -> Any:
-        """Run the band jobs ``make_jobs(inputs, out)`` builds into one
-        output and return it.
-
-        On a multi-worker process pool every input is shared once and
-        the jobs receive handles, writing into one output segment that
-        is copied out once at the end.  Inline and on threads they
-        receive the arrays and write into a preallocated array, which
-        is returned as is.  An ``arena`` keeps a process pool's output
-        in shared memory, as :meth:`_tiled` describes.
-        """
-        with ExitStack() as stack:
-            if self._shm:
-                local = arena if arena is not None else stack.enter_context(ShmArena())
-                inputs: tuple[np.ndarray | ShmHandle, ...] = tuple(
-                    local.share(a) for a in arrays
-                )
-                handle, view = local.alloc(out_shape, out_dtype)
-                out: np.ndarray | ShmHandle = handle
-            else:
-                inputs = tuple(arrays)
-                out = view = np.empty(out_shape, out_dtype)
-            sanitize = sanitize_enabled() and arm_segment(view)
-            for _ in self._iter_map(job, make_jobs(inputs, out)):
-                pass
-            if sanitize:
-                assert_covered(view, label=label)
-            if not self._shm:
-                return view
-            for ref in inputs:  # free the input frames early
-                local.release(ref)
-            if arena is not None:
-                return handle
-            result = view.copy()
-            del view
-            return result
-
     def _tiled(
         self,
         kernel: str,
@@ -458,36 +348,58 @@ class TileExecutor:
         """Run ``kernel`` over one haloed row band per worker into one
         output.
 
-        A single band calls the kernel directly on the whole frame;
-        more bands go through :meth:`_fan_out`.  Passing an ``arena``
-        asks for the output in the form a later job receives: on a
-        process pool a handle to its segment, owned by the arena (the
-        SGM adapter hands the cost volume to its direction jobs without
-        another copy), otherwise the array itself.
+        A single band calls the kernel directly on the whole frame.
+        With more bands, on a multi-worker process pool every input is
+        shared once and the band jobs receive handles, writing into one
+        output segment that is copied out once at the end; inline and
+        on threads they receive the arrays and write into a
+        preallocated array, which is returned as is.  Passing an
+        ``arena`` asks for the output in the form a later job
+        receives: on a process pool a handle to its segment, owned by
+        the arena (the SGM adapter hands the cost volume to its
+        direction jobs without another copy), otherwise the array
+        itself.
         """
         arrays = tuple(np.asarray(a) for a in arrays)
         bands = split_rows(arrays[0].shape[0], self.workers, halo)
-        if len(bands) > 1:
-            out_shape, out_dtype = _band_output(kernel, arrays, kwargs)
-            return self._fan_out(
-                _run_band,
-                arrays,
-                out_shape,
-                out_dtype,
-                lambda inputs, out: [
-                    (kernel, inputs, band.lo, band.hi, kwargs, band.crop,
-                     row_axis, out, band.start)
-                    for band in bands
-                ],
-                label=f"{kernel} output",
-                arena=arena,
-            )
-        out = _BAND_KERNELS[kernel](*arrays, **kwargs)
-        if arena is None or not self._shm:
-            return out
-        handle, view = arena.alloc(out.shape, out.dtype)
-        np.copyto(view, out)
-        return handle
+        if len(bands) == 1:
+            whole = _BAND_KERNELS[kernel](*arrays, **kwargs)
+            if arena is None or not self._shm:
+                return whole
+            handle, view = arena.alloc(whole.shape, whole.dtype)
+            np.copyto(view, whole)
+            return handle
+        out_shape, out_dtype = _band_output(kernel, arrays, kwargs)
+        with ExitStack() as stack:
+            if self._shm:
+                local = arena if arena is not None else stack.enter_context(ShmArena())
+                inputs: tuple[np.ndarray | ShmHandle, ...] = tuple(
+                    local.share(a) for a in arrays
+                )
+                handle, view = local.alloc(out_shape, out_dtype)
+                out: np.ndarray | ShmHandle = handle
+            else:
+                inputs = arrays
+                out = view = np.empty(out_shape, out_dtype)
+            sanitize = sanitize_enabled() and arm_segment(view)
+            jobs = [
+                (kernel, inputs, band.lo, band.hi, kwargs, band.crop,
+                 row_axis, out, band.start)
+                for band in bands
+            ]
+            for _ in self._iter_map(_run_band, jobs):
+                pass
+            if sanitize:
+                assert_covered(view, label=f"{kernel} output")
+            if not self._shm:
+                return view
+            for ref in inputs:  # free the input frames early
+                local.release(ref)
+            if arena is not None:
+                return handle
+            result = view.copy()
+            del view
+            return result
 
     # ------------------------------------------------------------------
     # the four matchers
@@ -510,7 +422,7 @@ class TileExecutor:
                 subpixel=subpixel,
                 precision=self.precision,
             ),
-            halo=BLOCK_STENCIL.halo(block_size=block_size),
+            halo=block_size // 2,
         )
 
     def census_block_match(
@@ -536,15 +448,9 @@ class TileExecutor:
             precision=self.precision,
         )
         if self.workers == 1:
-            return self._tiled(
-                "census", (left, right), kwargs,
-                halo=CENSUS_STENCIL.halo(window=window),
-            )
+            return self._tiled("census", (left, right), kwargs, halo=window // 2)
         codes = census_transform(np.asarray(right), window)
-        return self._tiled(
-            "census_coded", (left, codes), kwargs,
-            halo=CENSUS_STENCIL.halo(window=window),
-        )
+        return self._tiled("census_coded", (left, codes), kwargs, halo=window // 2)
 
     def guided_block_match(
         self,
@@ -572,7 +478,7 @@ class TileExecutor:
                 accept_margin=accept_margin,
                 precision=self.precision,
             ),
-            halo=BLOCK_STENCIL.halo(block_size=block_size),
+            halo=block_size // 2,
         )
 
     def sgm(
@@ -613,7 +519,7 @@ class TileExecutor:
                 "sad_cost",
                 (left, right),
                 cost_kwargs,
-                halo=BLOCK_STENCIL.halo(block_size=block_size),
+                halo=block_size // 2,
                 row_axis=1,
                 arena=arena,
             )
@@ -632,8 +538,9 @@ class TileExecutor:
         return wta_disparity(total, subpixel)
 
     # ------------------------------------------------------------------
-    # the non-key flow kernels
+    # the non-key flow kernels: whole-frame, at the executor's precision
     # ------------------------------------------------------------------
+    # stays only for benchmarks/e2e/spans.py; goes with ROADMAP 1(b)
     def poly_expansion(
         self,
         img: np.ndarray,
@@ -641,30 +548,11 @@ class TileExecutor:
         radius: int | None = None,
         precision: str | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Tiled :func:`~repro.flow.farneback.poly_expansion`.
-
-        The moment filters' vertical reach is the tap radius, so that
-        is the halo; each band's expansion is an independent pair of
-        separable sweeps and the stitched ``(A, b)`` is bit-identical
-        to the whole-frame call.  ``precision=None`` (the default)
-        uses the executor's own precision knob.
-        """
-        if precision is None:
-            precision = self.precision
-        halo = EXPANSION_STENCIL.halo(sigma=sigma, radius=radius)
-        packed = self._tiled(
-            "poly",
-            (img,),
-            dict(sigma=sigma, radius=radius, precision=precision),
-            halo=halo,
+        """:func:`~repro.flow.farneback.poly_expansion`;
+        ``precision=None`` (the default) uses the executor's own."""
+        return _fb.poly_expansion(
+            img, sigma, radius, self.precision if precision is None else precision
         )
-        A = np.empty(packed.shape[:2] + (2, 2), packed.dtype)
-        A[..., 0, 0] = packed[..., 0]
-        A[..., 0, 1] = packed[..., 1]
-        A[..., 1, 0] = packed[..., 1]
-        A[..., 1, 1] = packed[..., 2]
-        b = np.ascontiguousarray(packed[..., 3:5])
-        return A, b
 
     def expand_frame(
         self,
@@ -674,28 +562,11 @@ class TileExecutor:
         radius: int | None = None,
         precision: str | None = None,
     ) -> FrameExpansion:
-        """:func:`~repro.flow.farneback.expand_frame` with every
-        pyramid level expanded through :meth:`poly_expansion`.
-
-        The pyramid itself is built in the parent (downsampling is a
-        fraction of the expansion cost); only the per-level expansions
-        fan out.
-        """
-        if precision is None:
-            precision = self.precision
-        dtype = resolve_precision(precision)
-        pyramid = _pyramid(_as_gray(frame, dtype), levels, dtype)
-        coeffs = tuple(
-            self.poly_expansion(p, sigma=sigma, radius=radius, precision=precision)
-            for p in pyramid
-        )
-        return FrameExpansion(
-            coeffs=coeffs,
-            shapes=tuple(p.shape for p in pyramid),
-            levels=levels,
-            sigma=sigma,
-            radius=radius,
-            precision=precision,
+        """:func:`~repro.flow.farneback.expand_frame`;
+        ``precision=None`` (the default) uses the executor's own."""
+        return _fb.expand_frame(
+            frame, levels, sigma, radius,
+            self.precision if precision is None else precision,
         )
 
     def flow_iteration(
@@ -707,31 +578,9 @@ class TileExecutor:
         flow: np.ndarray,
         window_sigma: float = 4.0,
     ) -> np.ndarray:
-        """Tiled :func:`~repro.flow.farneback.flow_iteration`.
-
-        ``A1``/``b1``/``flow`` are banded; ``A2``/``b2`` go to every
-        band whole (the warp gathers reach anywhere in the frame), and
-        each band's absolute first row anchors its coordinates via the
-        kernel's ``row0`` hook.  The halo is the Gaussian averaging
-        window's tap radius — everything upstream of the blur is
-        per-pixel, everything downstream reads only blurred rows.
-        """
-        A1, b1, A2, b2, flow = (np.asarray(a) for a in (A1, b1, A2, b2, flow))
-        halo = FLOW_STENCIL.halo(window_sigma=window_sigma)
-        bands = split_rows(flow.shape[0], self.workers, halo)
-        if len(bands) == 1:
-            return flow_iteration(A1, b1, A2, b2, flow, window_sigma=window_sigma)
-        return self._fan_out(
-            _flow_band,
-            (A1, b1, A2, b2, flow),
-            flow.shape,
-            flow.dtype,
-            lambda inputs, out: [
-                (inputs, band.lo, band.hi, window_sigma, band.crop, out, band.start)
-                for band in bands
-            ],
-            label="flow output",
-        )
+        """:func:`~repro.flow.farneback.flow_iteration`, the ``step``
+        :meth:`flow_from_expansions` runs each update through."""
+        return _fb.flow_iteration(A1, b1, A2, b2, flow, window_sigma)
 
     def flow_from_expansions(
         self,
@@ -740,35 +589,11 @@ class TileExecutor:
         iterations: int = 3,
         window_sigma: float = 4.0,
     ) -> np.ndarray:
-        """:func:`~repro.flow.farneback.flow_from_expansions` with the
-        per-level update tiled through :meth:`flow_iteration`."""
+        """:func:`~repro.flow.farneback.flow_from_expansions` with
+        every update through :meth:`flow_iteration`."""
         return _fb.flow_from_expansions(
             exp0, exp1, iterations, window_sigma, step=self.flow_iteration
         )
-
-    def farneback_flow(
-        self,
-        frame0: np.ndarray,
-        frame1: np.ndarray,
-        levels: int = 3,
-        iterations: int = 3,
-        sigma: float = 1.5,
-        window_sigma: float = 4.0,
-        precision: str | None = None,
-    ) -> np.ndarray:
-        """Tiled :func:`~repro.flow.farneback.farneback_flow`.
-
-        The executor exposes the same ``expand_frame`` /
-        ``flow_from_expansions`` split as :mod:`repro.flow.farneback`,
-        so it can be passed wholesale as :class:`repro.core.ism.ISM`'s
-        ``flow=`` implementation.  At ``workers=1`` the ISM's flow then
-        runs through these methods; at ``workers > 1``
-        :func:`~repro.core.correspondence.propagate_correspondences`
-        splits flow by stream instead, on the plain kernels.
-        """
-        exp0 = self.expand_frame(frame0, levels, sigma=sigma, precision=precision)
-        exp1 = self.expand_frame(frame1, levels, sigma=sigma, precision=precision)
-        return self.flow_from_expansions(exp0, exp1, iterations, window_sigma)
 
     def kernel(self, name: str) -> Callable[..., np.ndarray]:
         """The tiled kernel registered under ``name``.

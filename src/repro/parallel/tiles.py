@@ -17,50 +17,17 @@ why ``max_disp`` / ``radius`` never enter the halo.
 >>> bands[1].crop                        # rows to keep of the slice
 (2, 5)
 
-Each kernel family declares its vertical footprint once, as a
-:class:`Stencil` constant next to the kernels (``BLOCK_STENCIL``,
-``CENSUS_STENCIL``, ``EXPANSION_STENCIL``, ``FLOW_STENCIL``), and the
-executor computes every halo from that declaration.  The seam tests in
+The executor passes each matcher's window radius (``block_size // 2``
+or ``window // 2``) as the halo.  The seam tests in
 ``tests/test_parallel.py`` run every banded kernel against its
 whole-frame call, so a halo one row short fails them.
-
->>> Stencil.window("block_size").halo(block_size=9)
-4
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
-__all__ = [
-    "RowBand",
-    "Stencil",
-    "blur_tap_radius",
-    "gaussian_support_radius",
-    "split_rows",
-]
-
-
-def gaussian_support_radius(sigma: float) -> int:
-    """Tap radius of a 3-sigma Gaussian moment filter.
-
-    The single source of truth for the Farneback polynomial-expansion
-    support (:func:`repro.flow.farneback.poly_expansion` and its tiled
-    halo both delegate here).
-    """
-    return max(2, int(round(3.0 * sigma)))
-
-
-def blur_tap_radius(sigma: float) -> int:
-    """Tap radius of a ``gaussian_filter``-compatible blur.
-
-    scipy truncates at ``4 * sigma`` (its default); this is the exact
-    radius :func:`repro.flow.gaussian.blur_kernel1d` builds its taps
-    with, so it is also the exact vertical halo a banded
-    :func:`repro.flow.farneback.flow_iteration` needs.
-    """
-    return int(4.0 * sigma + 0.5)
+__all__ = ["RowBand", "split_rows"]
 
 
 @dataclass(frozen=True)
@@ -115,60 +82,3 @@ def split_rows(height: int, n_bands: int, halo: int) -> list[RowBand]:
         RowBand(start=a, stop=b, lo=max(0, a - halo), hi=min(height, b + halo))
         for a, b in zip(edges, edges[1:])
     ]
-
-
-@dataclass(frozen=True)
-class Stencil:
-    """A kernel's declared vertical data dependence.
-
-    ``kind`` selects how the halo is computed from the kernel's own
-    keyword arguments:
-
-    * ``"window"`` — an odd ``param``-sized window (halo ``param // 2``,
-      the box-filter / census case);
-    * ``"gaussian"`` — 3-sigma moment-filter support of ``param``
-      (:func:`gaussian_support_radius`), optionally overridden by an
-      explicit tap-radius argument named ``override``;
-    * ``"blur"`` — ``gaussian_filter``-compatible taps of ``param``
-      (:func:`blur_tap_radius`).
-
-    >>> Stencil.window("window").halo(window=5)
-    2
-    >>> Stencil.gaussian("sigma", override="radius").halo(sigma=1.5, radius=None)
-    4
-    >>> Stencil.gaussian("sigma", override="radius").halo(sigma=1.5, radius=7)
-    7
-    >>> Stencil.blur("window_sigma").halo(window_sigma=4.0)
-    16
-    """
-
-    kind: str
-    param: str
-    override: str | None = None
-
-    @classmethod
-    def window(cls, param: str) -> "Stencil":
-        return cls("window", param=param)
-
-    @classmethod
-    def gaussian(cls, param: str, override: str | None = None) -> "Stencil":
-        return cls("gaussian", param=param, override=override)
-
-    @classmethod
-    def blur(cls, param: str) -> "Stencil":
-        return cls("blur", param=param)
-
-    def halo(self, **params: Any) -> int:
-        """The halo rows this stencil needs for the given kernel kwargs."""
-        if self.override is not None:
-            explicit = params.get(self.override)
-            if explicit is not None:
-                return int(explicit)
-        arg = params[self.param]
-        if self.kind == "window":
-            return int(arg) // 2
-        if self.kind == "gaussian":
-            return gaussian_support_radius(arg)
-        if self.kind == "blur":
-            return blur_tap_radius(arg)
-        raise ValueError(f"unknown stencil kind {self.kind!r}")

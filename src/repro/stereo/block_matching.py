@@ -23,10 +23,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from repro.parallel.tiles import Stencil
-
 __all__ = [
-    "BLOCK_STENCIL",
     "shift_right_image",
     "sad_cost_volume",
     "block_match",
@@ -37,11 +34,6 @@ __all__ = [
 ]
 
 _BIG = 1e9
-
-#: vertical data dependence of every SAD-family kernel: the box-filter
-#: window (the disparity search itself is horizontal).  Declared once;
-#: the tiled executor computes its halos from this.
-BLOCK_STENCIL = Stencil.window("block_size")
 
 #: cost-volume dtypes selectable through the ``precision`` knob; the
 #: float32 volumes halve the memory traffic (the resource the paper's
@@ -62,6 +54,12 @@ def resolve_precision(precision: str) -> np.dtype:
             f"precision must be one of {tuple(sorted(_PRECISIONS))}, "
             f"got {precision!r}"
         ) from None
+
+
+def _check_block_size(block_size: int) -> None:
+    """A SAD block is centred on its pixel, so its side must be odd."""
+    if block_size < 1 or block_size % 2 == 0:
+        raise ValueError(f"block_size must be odd and >= 1, got {block_size!r}")
 
 
 def _as_float(img: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -131,8 +129,10 @@ def sad_cost_volume(
     the left image and the block around ``<x + d, y>`` in the right
     image, matching the paper's convolution-like formulation of BM.
     ``precision`` selects the volume dtype (``"float32"`` halves the
-    memory traffic, ``"float64"`` is the default).
+    memory traffic, ``"float64"`` is the default).  ``block_size``
+    must be odd, so the block has a centre.
     """
+    _check_block_size(block_size)
     dtype = resolve_precision(precision)
     left = _as_float(left, dtype)
     right = _as_float(right, dtype)
@@ -225,8 +225,10 @@ def guided_block_match(
     ambiguity anywhere in the image: a kept estimate moves at most by
     the integer rounding of ``init`` plus the sub-pixel half-step
     (exactly the half-step for an integer init), or is clipped to the
-    reachable range where the geometry forces it.
+    reachable range where the geometry forces it.  ``block_size`` must
+    be odd, as in :func:`sad_cost_volume`.
     """
+    _check_block_size(block_size)
     dtype = resolve_precision(precision)
     left = _as_float(left, dtype)
     right = _as_float(right, dtype)

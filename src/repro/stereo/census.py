@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel.tiles import Stencil
 from repro.stereo.block_matching import (
     _BIG,
     _as_float,
@@ -32,15 +31,10 @@ from repro.stereo.block_matching import (
 )
 
 __all__ = [
-    "CENSUS_STENCIL",
     "census_transform",
     "hamming_cost_volume",
     "census_block_match",
 ]
-
-#: vertical data dependence of the census kernels: the comparison
-#: window (the Hamming matching itself is per-pixel and horizontal)
-CENSUS_STENCIL = Stencil.window("window")
 
 
 def census_transform(img: np.ndarray, window: int = 5) -> np.ndarray:

@@ -132,6 +132,11 @@ class TestISMPipeline:
         with pytest.raises(ValueError):
             ISMConfig(search_radius=0)
 
+    @pytest.mark.parametrize("block_size", [4, 6, 8])
+    def test_even_block_size_rejected(self, block_size):
+        with pytest.raises(ValueError, match="block_size must be odd"):
+            ISMConfig(block_size=block_size)
+
 
 class TestNonKeyOps:
     def test_orders_of_magnitude_cheaper_than_dnn(self):

@@ -11,6 +11,7 @@ in ``benchmarks/bench_kernels.py``.
 
 import glob
 import os
+import subprocess
 import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
@@ -22,8 +23,14 @@ import pytest
 from repro.core import ISM, ISMConfig
 from repro.core.correspondence import ExpansionCache, propagate_correspondences
 from repro.datasets import sceneflow_scene
+from repro.flow import (
+    FrameExpansion,
+    expand_frame,
+    flow_from_expansions,
+    flow_iteration,
+    poly_expansion,
+)
 from repro.flow import farneback as farneback_module
-from repro.flow import farneback_flow, flow_iteration, poly_expansion
 from repro.parallel import TileExecutor, available_kernels, shm_available, split_rows
 from repro.parallel import executor as executor_module
 from repro.pipeline import QualityProbe, sceneflow_stream
@@ -59,6 +66,16 @@ def _tiled(executor, name, f):
         ),
     }
     return call[name]()
+
+
+#: pools a multi-worker executor can run on here
+_POOL_PARAMS = [
+    "thread",
+    pytest.param(
+        "process",
+        marks=pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory"),
+    ),
+]
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +161,40 @@ class TestExecutorValidation:
         with pytest.raises(ValueError):
             TileExecutor().sgm(frame.left, frame.right, 8, paths=3)
 
+    @pytest.mark.parametrize("block_size", [4, 6, 8])
+    @pytest.mark.parametrize("pool", _POOL_PARAMS)
+    def test_even_block_size_rejected(self, frame, pool, block_size):
+        # an even block has no centre row, so `block_size // 2` would
+        # be no exact halo; every band job refuses it, on every pool
+        with TileExecutor(workers=2, pool=pool) as ex:
+            for call in (
+                lambda: ex.block_match(frame.left, frame.right, 8, block_size),
+                lambda: ex.guided_block_match(
+                    frame.left, frame.right, frame.disparity, block_size=block_size
+                ),
+                lambda: ex.sgm(frame.left, frame.right, 8, block_size),
+            ):
+                with pytest.raises(ValueError, match="block_size must be odd"):
+                    call()
+
+
+def test_kernels_do_not_import_the_executor():
+    """The stereo and flow kernels sit below `repro.parallel`: importing
+    them loads no executor module, so no import cycle can return."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys, repro.stereo, repro.flow; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.parallel')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 
 class TestBandingRule:
     """One band per worker is the executor's only banding rule."""
@@ -157,21 +208,15 @@ class TestBandingRule:
             return split_rows(height, n_bands, halo)
 
         monkeypatch.setattr(executor_module, "split_rows", recording_split_rows)
-        scene = sceneflow_scene(7, size=(135, 48), max_disp=8, max_speed=1.5)
-        f0, f1 = scene.render(0), scene.render(1)
-        A1, b1 = poly_expansion(f0.left)
-        A2, b2 = poly_expansion(f1.left)
-        flow = np.zeros(A1.shape[:2] + (2,))
+        f0 = sceneflow_scene(7, size=(135, 48), max_disp=8).render(0)
         with TileExecutor(workers=workers, pool="thread") as ex:
             ex.block_match(f0.left, f0.right, 8)
             ex.census_block_match(f0.left, f0.right, 8)
             ex.guided_block_match(f0.left, f0.right, f0.disparity)
             ex.sgm(f0.left, f0.right, 8)
-            ex.poly_expansion(f0.left)
-            ex.flow_iteration(A1, b1, A2, b2, flow)
             if workers == 1:
                 assert ex._pool is None  # inline: no pool was ever built
-        assert asked == [workers] * 6
+        assert asked == [workers] * 4
 
 
 class TestSeamEquivalence:
@@ -215,14 +260,10 @@ class TestSeamEquivalence:
                 return _kernel(*args, **kwargs)
 
             monkeypatch.setitem(executor_module._BAND_KERNELS, name, record)
-        img = np.asarray(frame.left, dtype=np.float64)
-        A_ref, b_ref = poly_expansion(img)
         for workers in (6, 1):
             with TileExecutor(workers=workers, pool="thread") as ex:
                 for name in available_kernels():
                     assert np.array_equal(_tiled(ex, name, frame), references[name])
-                A, b = ex.poly_expansion(img)
-            assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
         assert seen == set(executor_module._BAND_KERNELS)
 
     def test_single_row_image(self):
@@ -385,71 +426,64 @@ class TestQualityProbeWorkers:
         probe.close()  # idempotent
 
 
+def _same_bytes(got, want) -> bool:
+    """Whether two flow results hold the same arrays, dtype and bytes."""
+    def arrays(value):
+        if isinstance(value, FrameExpansion):
+            return [a for pair in value.coeffs for a in pair]
+        return list(value) if isinstance(value, tuple) else [value]
+
+    return all(
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(arrays(got), arrays(want), strict=True)
+    )
+
+
 class TestFlowSeamEquivalence:
-    """The tiled non-key flow kernels: every banding, pool and
-    precision must be bit-identical to the single-core functions."""
+    """The executor's flow methods are whole-frame calls into
+    :mod:`repro.flow.farneback` at the executor's precision: no bands,
+    no pool, and the same bytes as the plain kernels."""
 
     @pytest.fixture(scope="class")
     def frames(self):
         scene = sceneflow_scene(31, size=(63, 82), max_disp=12, max_speed=2.0)
         return scene.render(0), scene.render(1)
 
-    @pytest.fixture(scope="class")
-    def flow_reference(self, frames):
-        f0, f1 = frames
-        return farneback_flow(f0.left, f1.left, levels=3, iterations=2,
-                              window_sigma=2.5)
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("pool", _POOL_PARAMS)
+    def test_flow_methods_are_whole_frame(self, frames, monkeypatch, pool, workers):
+        def no_bands(*args):
+            raise AssertionError("a flow method cut row bands")
 
-    @pytest.mark.parametrize("workers", [63, 16, 9])
-    def test_poly_expansion_many_small_bands(self, frames, workers):
-        img = np.asarray(frames[0].left, dtype=np.float64)
-        A_ref, b_ref = poly_expansion(img)
-        with TileExecutor(workers=workers, pool="thread") as ex:
-            A, b = ex.poly_expansion(img)
-        assert np.array_equal(A, A_ref)
-        assert np.array_equal(b, b_ref)
-
-    @pytest.mark.parametrize("workers", [63, 13, 7])
-    def test_flow_iteration_bands(self, frames, workers):
-        f0, f1 = frames
-        A1, b1 = poly_expansion(np.asarray(f0.left, dtype=np.float64))
-        A2, b2 = poly_expansion(np.asarray(f1.left, dtype=np.float64))
-        flow = np.zeros(A1.shape[:2] + (2,))
-        ref = flow_iteration(A1, b1, A2, b2, flow, window_sigma=2.5)
-        with TileExecutor(workers=workers, pool="thread") as ex:
-            got = ex.flow_iteration(A1, b1, A2, b2, flow, window_sigma=2.5)
-        assert np.array_equal(got, ref)
-
-    @pytest.mark.parametrize("workers", [2, 3, 11])
-    def test_farneback_flow_thread_pool(self, frames, flow_reference, workers):
-        f0, f1 = frames
-        with TileExecutor(workers=workers, pool="thread") as ex:
-            got = ex.farneback_flow(f0.left, f1.left, levels=3, iterations=2,
-                                    window_sigma=2.5)
-        assert np.array_equal(got, flow_reference)
-
-    @pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory")
-    def test_farneback_flow_process_pool(self, frames, flow_reference):
-        f0, f1 = frames
-        with TileExecutor(workers=9, pool="process") as ex:
-            got = ex.farneback_flow(f0.left, f1.left, levels=3, iterations=2,
-                                    window_sigma=2.5)
-        assert np.array_equal(got, flow_reference)
-
-    def test_float32_tiling_identical(self, frames):
-        f0, f1 = frames
-        ref = farneback_flow(f0.left, f1.left, levels=2, iterations=2,
-                             precision="float32")
-        with TileExecutor(workers=13, pool="thread", precision="float32") as ex:
-            got = ex.farneback_flow(f0.left, f1.left, levels=2, iterations=2)
-        assert got.dtype == np.float32
-        assert np.array_equal(got, ref)
+        monkeypatch.setattr(executor_module, "split_rows", no_bands)
+        f0, f1 = (np.asarray(f.left, dtype=np.float64) for f in frames)
+        for precision in ("float64", "float32"):
+            exp0 = expand_frame(f0, levels=2, precision=precision)
+            exp1 = expand_frame(f1, levels=2, precision=precision)
+            (A1, b1), (A2, b2) = exp0.coeffs[0], exp1.coeffs[0]
+            flow = np.full(A1.shape[:2] + (2,), 0.75, A1.dtype)  # warp off-grid
+            want = {
+                "poly_expansion": poly_expansion(f0, precision=precision),
+                "expand_frame": exp0,
+                "flow_iteration": flow_iteration(A1, b1, A2, b2, flow, 2.5),
+                "flow_from_expansions": flow_from_expansions(exp0, exp1, 2, 2.5),
+            }
+            # precision=None throughout: the executor's own precision
+            with TileExecutor(workers=workers, pool=pool, precision=precision) as ex:
+                got = {
+                    "poly_expansion": ex.poly_expansion(f0),
+                    "expand_frame": ex.expand_frame(f0, levels=2),
+                    "flow_iteration": ex.flow_iteration(A1, b1, A2, b2, flow, 2.5),
+                    "flow_from_expansions": ex.flow_from_expansions(exp0, exp1, 2, 2.5),
+                }
+                assert ex._pool is None  # nothing was fanned out
+            assert got["expand_frame"].precision == precision
+            for name in want:
+                assert _same_bytes(got[name], want[name]), (name, precision)
 
     def test_expansion_object_interchangeable(self, frames):
         """Executor-built expansions are bit-identical to single-core
         ones, so the ISM cache can mix the two freely."""
-        from repro.flow import expand_frame, flow_from_expansions
-
         f0, f1 = frames
         with TileExecutor(workers=11, pool="thread") as ex:
             tiled_exp = ex.expand_frame(f0.left, levels=2)
@@ -479,16 +513,6 @@ class TestFlowSeamEquivalence:
             ).run_sequence(video)
         for a, b in zip(plain.disparities, tiled.disparities):
             assert np.array_equal(a, b)
-
-
-#: pools a multi-worker executor can run on here
-_POOL_PARAMS = [
-    "thread",
-    pytest.param(
-        "process",
-        marks=pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory"),
-    ),
-]
 
 
 class TestStreamSplitFlow:

@@ -101,6 +101,22 @@ class TestCostVolume:
         with pytest.raises(ValueError, match="precision"):
             sad_cost_volume(left, right, 4, precision="float16")
 
+    @pytest.mark.parametrize("block_size", [4, 6, 8])
+    def test_even_block_size_raises(self, block_size):
+        # an even block has no centre pixel: every SAD-family kernel
+        # refuses it, as census_transform refuses an even window
+        left, right = synthetic_pair(d=2, size=(12, 20))
+        for call in (
+            lambda: sad_cost_volume(left, right, 4, block_size),
+            lambda: block_match(left, right, 4, block_size),
+            lambda: sgm(left, right, 4, block_size),
+            lambda: guided_block_match(
+                left, right, np.zeros_like(left), block_size=block_size
+            ),
+        ):
+            with pytest.raises(ValueError, match="block_size must be odd"):
+                call()
+
 
 class TestBlockMatch:
     def test_recovers_uniform_disparity(self):
