@@ -67,6 +67,7 @@ def test_stream_engine_backends(benchmark, save_table):
     assert all(s.key_frames == s.frames for s in eyeriss.streams)
     assert all(s.key_frames < s.frames for s in systolic.streams)
 
-    # result cache: each distinct (network, mode, size) scheduled once
+    # result cache: each distinct (network, mode, size) scheduled
+    # once, and looked up once, however many frames it serves
     assert systolic.cache.misses == 2
-    assert systolic.cache.hit_rate > 0.5
+    assert systolic.cache.hits + systolic.cache.misses == 2

@@ -489,12 +489,14 @@ class ChaosClusterEngine(ClusterEngine):
             self.autoscaler.interval_s if self.autoscaler else math.inf
         )
         added = removed = 0
-        pressure_memo: dict[tuple[str, int], float] = {}
+        # keyed by replica, not backend name: two shards of one backend
+        # type can carry different hardware configurations
+        pressure_memo: dict[tuple[int, int], float] = {}
 
         def stream_pressure(si: int) -> float:
-            coster = replicas[assigned[si]].coster
-            key = (coster.backend.name, si)
+            key = (assigned[si], si)
             if key not in pressure_memo:
+                coster = replicas[assigned[si]].coster
                 pressure_memo[key] = coster.deadline_pressure(streams[si])
             return pressure_memo[key]
 

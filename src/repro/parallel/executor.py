@@ -87,6 +87,7 @@ from repro.parallel.shm import (
 )
 from repro.parallel.tiles import split_rows
 from repro.stereo.block_matching import (
+    _check_block_size,
     block_match,
     guided_block_match,
     resolve_precision,
@@ -413,6 +414,7 @@ class TileExecutor:
         subpixel: bool = True,
     ) -> np.ndarray:
         """Tiled :func:`~repro.stereo.block_matching.block_match`."""
+        _check_block_size(block_size)  # before any pool or shm work
         return self._tiled(
             "bm",
             (left, right),
@@ -468,6 +470,7 @@ class TileExecutor:
         guided gather is same-row, so the halo is still just the
         box-filter radius no matter how large ``radius`` is.
         """
+        _check_block_size(block_size)
         return self._tiled(
             "guided",
             (left, right, init),
@@ -510,6 +513,7 @@ class TileExecutor:
         """
         if paths not in (2, 4, 8):
             raise ValueError("paths must be 2, 4 or 8")
+        _check_block_size(block_size)
         cost_kwargs = dict(
             max_disp=max_disp, block_size=block_size, precision=self.precision
         )

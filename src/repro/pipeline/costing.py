@@ -175,6 +175,14 @@ class FrameCoster:
     propagation pipeline, and requested execution modes degrade along
     :data:`MODE_FALLBACK` to the best mode the backend supports.
 
+    A frame's cost depends only on its workload, so each coster prices
+    a key frame once per ``(network, mode, size)`` and a non-key frame
+    once per ``(size, ism config)``, then reuses the seconds for every
+    later frame.  The backend's result cache therefore sees one lookup
+    per workload per coster: its misses are the schedules solved, and
+    its hits are repeat lookups from other costers or callers, not
+    frames.
+
     >>> from repro.backends import get_backend
     >>> coster = FrameCoster(get_backend("gpu"))
     >>> coster.effective_mode("ilar")   # the GPU runs dense deconvs
@@ -183,8 +191,9 @@ class FrameCoster:
 
     def __init__(self, backend: ExecutionBackend) -> None:
         self.backend = backend
-        # non-key costs depend only on (size, ism config); memoize so
-        # a long stream pays the analytic model once, like key frames
+        # seconds per (network, requested mode, size) and per (size,
+        # ism config): each priced on first use, reused for every frame
+        self._key_memo: dict = {}
         self._nonkey_memo: dict = {}
 
     def effective_mode(self, requested: str) -> str:
@@ -212,10 +221,13 @@ class FrameCoster:
         >>> coster.key_frame_seconds(FrameStream("cam", size=(68, 120))) > 0
         True
         """
-        result = self.backend.network_result(
-            stream.network, self.effective_mode(stream.mode), stream.size
-        )
-        return self.backend.seconds(result)
+        key = (stream.network, stream.mode, tuple(stream.size))
+        if key not in self._key_memo:
+            result = self.backend.network_result(
+                stream.network, self.effective_mode(stream.mode), stream.size
+            )
+            self._key_memo[key] = self.backend.seconds(result)
+        return self._key_memo[key]
 
     def nonkey_frame_seconds(self, stream: FrameStream) -> float:
         """Service time of one ISM non-key frame (propagation).
@@ -261,7 +273,12 @@ class FrameCoster:
         True
         """
         keys = plan_keys(stream, self.backend.capabilities.supports_ism)
-        total = sum(self.frame_seconds(stream, k) for k in keys)
+        key_s = self.key_frame_seconds(stream)
+        # an ISM-less backend plans no non-key frame and cannot price one
+        nonkey_s = self.nonkey_frame_seconds(stream) if not all(keys) else 0.0
+        # frame by frame, in plan order: a count-times-price product
+        # rounds differently and could move a placement tie
+        total = sum(key_s if k else nonkey_s for k in keys)
         rate = stream.fps if fps is None else fps
         return rate * total / len(keys)
 

@@ -12,9 +12,13 @@ frame pays full inference, and requested execution modes degrade
 gracefully to the best mode the backend schedules
 (``ilar -> convr -> dct -> baseline``; see ``docs/serving.md``).
 
-Key-frame costs come from the backend's bounded per-``(network, mode,
-size)`` result cache, so a many-stream run schedules each distinct
-workload once and the report can state its cache hit rate.
+Each engine's :class:`~repro.pipeline.costing.FrameCoster` prices a
+``(network, mode, size)`` once, through the backend's bounded result
+cache, and reuses the seconds for every later frame.  So a
+many-stream run schedules each distinct workload once, and the
+report's cache statistics count backend lookups, not frames: misses
+are the schedules solved, and hits are repeat lookups from other
+costers or callers.
 
 The simulation is an analytic discrete-event model (arrival, queueing
 wait, service), which is exactly what the underlying latency models

@@ -46,7 +46,9 @@ from repro.cluster import (
     format_cluster_report,
     format_resilience,
 )
-from repro.pipeline import FrameStream
+from repro.backends.systolic import SystolicBackend
+from repro.hw.config import HWConfig
+from repro.pipeline import FrameCoster, FrameStream
 from repro.pipeline.quality import QualityProbe
 from repro.pipeline.stream import sceneflow_stream
 
@@ -500,6 +502,29 @@ class TestAutoscaler:
         assert downs
         retired = {e.shard for e in downs}
         assert all(label not in retired for _, label in report.placement)
+
+    def test_migrated_stream_pressure_priced_on_destination(self, monkeypatch):
+        # two shards of one backend type, 16x apart in clock: once cam2
+        # moves off the slow shard, the autoscaler must price its
+        # pressure on the fast destination, not reuse the source's
+        fast = SystolicBackend(HWConfig(frequency_hz=4e9, scalar_frequency_hz=1e9))
+        slow = SystolicBackend(
+            HWConfig(frequency_hz=0.25e9, scalar_frequency_hz=0.0625e9))
+        priced = []
+        pressure = FrameCoster.deadline_pressure
+
+        def recorded(coster, stream, fps=None):
+            priced.append((coster.backend, stream.name))
+            return pressure(coster, stream, fps)
+
+        monkeypatch.setattr(FrameCoster, "deadline_pressure", recorded)
+        engine = ChaosClusterEngine(
+            [fast, slow], autoscaler=Autoscaler(backend="gpu", interval_s=0.1))
+        report = engine.run(_streams(frames=40, mode="ilar"))
+        moves = report.resilience.events_of("migrate")
+        assert [(e.stream, e.shard) for e in moves] == [("cam2", "systolic:0")]
+        assert (slow, "cam2") in priced
+        assert (fast, "cam2") in priced
 
 
 # ----------------------------------------------------------------------

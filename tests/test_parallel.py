@@ -165,7 +165,7 @@ class TestExecutorValidation:
     @pytest.mark.parametrize("pool", _POOL_PARAMS)
     def test_even_block_size_rejected(self, frame, pool, block_size):
         # an even block has no centre row, so `block_size // 2` would
-        # be no exact halo; every band job refuses it, on every pool
+        # be no exact halo; every matcher refuses it up front, on every pool
         with TileExecutor(workers=2, pool=pool) as ex:
             for call in (
                 lambda: ex.block_match(frame.left, frame.right, 8, block_size),
@@ -176,6 +176,7 @@ class TestExecutorValidation:
             ):
                 with pytest.raises(ValueError, match="block_size must be odd"):
                     call()
+            assert ex._pool is None  # refused before any pool or shm work
 
 
 def test_kernels_do_not_import_the_executor():
