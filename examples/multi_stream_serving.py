@@ -7,8 +7,9 @@ A production-shaped tour of the backend + pipeline layers:
    and a textureless stress scene);
 2. serve them on every registered execution backend through the
    :class:`StreamEngine`;
-3. print per-stream latency percentiles, the streams-vs-backend
-   throughput table, and the result-cache statistics.
+3. print per-stream latency percentiles, the schedules each backend
+   solved, the streams-vs-backend throughput table, and the
+   result-cache statistics.
 
 Run:  python examples/multi_stream_serving.py
 """
@@ -62,7 +63,7 @@ def main():
         print(format_report(report))
         info = report.cache
         print(f"result cache: {info.hits} hits / {info.misses} misses "
-              f"({info.hit_rate:.0%} hit rate, {info.currsize} entries)\n")
+              f"({info.currsize} entries)\n")
 
     print(format_backend_comparison(reports, target_fps=TARGET_FPS))
     best = max(reports, key=lambda r: r.sustainable_streams(TARGET_FPS))

@@ -282,6 +282,17 @@ class _Replica:
         self.flaky: list[FlakyFault] = []
         self.end_s: float | None = None  # crash / retirement instant
         self.log: list[tuple[float, float]] = []  # (start, done) busy spans
+        # the streams on this replica that still have frames, each with
+        # its head frame's ready instant; ``next_s`` is the earliest
+        # dispatch instant over them, kept current by ``refresh``
+        self.ready: dict[int, float] = {}
+        self.next_s = math.inf
+
+    def refresh(self) -> None:
+        """Recompute :attr:`next_s` after the free instant or a ready
+        instant changed."""
+        if self.ready:
+            self.next_s = max(self.free_s, min(self.ready.values()))
 
     def occupy(self, start_s: float, done_s: float) -> None:
         """Charge one service attempt (successful or not)."""
@@ -503,13 +514,19 @@ class ChaosClusterEngine(ClusterEngine):
         def eff_arrival(si: int) -> float:
             return max(queues[si][head[si]].arrival_s, not_before[si])
 
+        for si in range(n):
+            replicas[assigned[si]].ready[si] = eff_arrival(si)
+        for r in replicas:
+            r.refresh()
+
         def migrate(moving: list[int], destinations: list[int],
                     now: float, kind_detail: str,
                     crash_at: float | None) -> None:
             for si, dest in zip(moving, destinations):
                 if dest == assigned[si]:
                     continue
-                source = replicas[assigned[si]].label
+                source = replicas[assigned[si]]
+                replicas[dest].ready[si] = source.ready.pop(si)
                 assigned[si] = dest
                 rekey.chain_broken(si)  # migration broke the ISM chain
                 migrations[si] += 1
@@ -520,21 +537,21 @@ class ChaosClusterEngine(ClusterEngine):
                 events.append(FaultEvent(
                     now, "migrate", replicas[dest].label,
                     stream=streams[si].name,
-                    detail=f"{kind_detail} from {source}"))
+                    detail=f"{kind_detail} from {source.label}"))
 
         def replace_streams(dead: _Replica, now: float,
                             crash_at: float | None, detail: str) -> None:
-            moving = [si for si in range(n)
-                      if replicas[assigned[si]] is dead
-                      and head[si] < len(queues[si])]
+            moving = sorted(dead.ready)
             if not moving:
                 return
             survivors = [i for i, r in enumerate(replicas) if r.alive]
             if not survivors:
                 raise ValueError(
                     f"fault schedule killed every replica at t={now:g}s "
-                    f"with {pending} frames still pending; keep one shard "
-                    f"alive or attach an autoscaler with min_replicas >= 1"
+                    f"with {pending} frames still pending; a crash that "
+                    f"leaves no live replica ends the run, even with an "
+                    f"autoscaler attached (its min_replicas floor binds "
+                    f"only its own scale-downs)"
                 )
             placement = self.policy.assign(
                 [streams[si] for si in moving],
@@ -543,19 +560,18 @@ class ChaosClusterEngine(ClusterEngine):
             migrate(moving, [survivors[p] for p in placement], now,
                     detail, crash_at)
 
+        dispatched: _Replica | None = None
         while pending > 0:
+            # only the replica that dispatched last has a stale instant
+            if dispatched is not None:
+                dispatched.refresh()
             # earliest dispatch opportunity across the live fleet
             best: tuple[float, int] | None = None
             for ri, r in enumerate(replicas):
-                if not r.alive:
+                if not r.alive or not r.ready:
                     continue
-                heads = [si for si in range(n)
-                         if assigned[si] == ri and head[si] < len(queues[si])]
-                if not heads:
-                    continue
-                t = max(r.free_s, min(eff_arrival(si) for si in heads))
-                if best is None or (t, ri) < best:
-                    best = (t, ri)
+                if best is None or (r.next_s, ri) < best:
+                    best = (r.next_s, ri)
             if best is None:
                 raise RuntimeError(
                     "chaos loop stalled with pending frames and no live "
@@ -632,14 +648,16 @@ class ChaosClusterEngine(ClusterEngine):
                             now, "scale-down", victim.label,
                             detail=f"pressure {total:.2f}"))
                         replace_streams(victim, now, None, "scale-down")
+                # a crash or a tick can move streams between any replicas
+                for r in replicas:
+                    r.refresh()
                 continue
 
             # dispatch one frame on replica ri at t_disp
-            r = replicas[ri]
+            r = dispatched = replicas[ri]
             ready = sorted(
-                (queues[si][head[si]] for si in range(n)
-                 if assigned[si] == ri and head[si] < len(queues[si])
-                 and eff_arrival(si) <= t_disp),
+                (queues[si][head[si]] for si, at in r.ready.items()
+                 if at <= t_disp),
                 key=lambda j: j.seq,
             )
             job = ready[self.scheduler.select(ready, t_disp)]
@@ -656,6 +674,10 @@ class ChaosClusterEngine(ClusterEngine):
                 head[si] += 1
                 not_before[si] = 0.0
                 attempts[si] = 0
+                if head[si] < len(queues[si]):
+                    r.ready[si] = eff_arrival(si)
+                else:
+                    del r.ready[si]
 
             if not self.scheduler.admit(job, start, is_key):
                 dropped[si] += 1
@@ -702,6 +724,7 @@ class ChaosClusterEngine(ClusterEngine):
                     not_before[si] = done + (
                         self.retry.backoff_s * attempts[si]
                     )
+                    r.ready[si] = eff_arrival(si)
                 continue
 
             done = start + service

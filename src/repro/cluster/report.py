@@ -330,12 +330,13 @@ def format_cluster_report(report: ClusterReport) -> str:
     shard_rows = [
         [shard.label, len(shard.report.streams), shard.report.total_frames,
          shard.report.makespan_s, shard.utilization,
-         shard.report.cache.hit_rate]
+         shard.report.cache.misses]
         for shard in report.shards
     ]
     shards_table = render_table(
         "Backend shards",
-        ["shard", "streams", "frames", "makespan s", "util", "cache hit"],
+        ["shard", "streams", "frames", "makespan s", "util",
+         "schedules solved"],
         shard_rows,
     )
     text = f"{streams_table}\n\n{shards_table}"

@@ -31,7 +31,7 @@ Production-shaped serving on top of the execution-backend layer::
 * :class:`EngineReport` / :class:`StreamStats` — p50/p95/p99 frame
   latency per stream, queue-wait attribution, deadline-miss / drop
   rates, worst-case lateness, aggregate fps, backend utilization,
-  streams sustainable at a target rate, result-cache hit statistics,
+  streams sustainable at a target rate, result-cache statistics,
   and (on probed runs) bad-pixel rate / end-point error.
 
 The serving guide lives in ``docs/serving.md``; the scheduler guide

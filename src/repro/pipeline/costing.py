@@ -181,7 +181,8 @@ class FrameCoster:
     later frame.  The backend's result cache therefore sees one lookup
     per workload per coster: its misses are the schedules solved, and
     its hits are repeat lookups from other costers or callers, not
-    frames.
+    frames.  A stream on the static PW policy also has its planned
+    busy seconds summed once per coster (:meth:`stream_demand`).
 
     >>> from repro.backends import get_backend
     >>> coster = FrameCoster(get_backend("gpu"))
@@ -195,6 +196,9 @@ class FrameCoster:
         # ism config): each priced on first use, reused for every frame
         self._key_memo: dict = {}
         self._nonkey_memo: dict = {}
+        # (planned busy seconds, frames) of a static-PW stream, keyed by
+        # every field its plan and prices read (FrameStream is mutable)
+        self._demand_memo: dict = {}
 
     def effective_mode(self, requested: str) -> str:
         """Best supported mode at or below the requested level.
@@ -272,15 +276,29 @@ class FrameCoster:
         ...     2 * coster.stream_demand(stream))
         True
         """
+        if stream.policy_factory is not None:
+            # a factory's policy may adapt or vary: replay it every call
+            total, n = self._planned_busy(stream)
+        else:
+            # a static PW plan depends only on (pw, n_frames) on one
+            # coster, whose ISM support is fixed
+            key = (stream.network, stream.mode, tuple(stream.size),
+                   stream.ism, stream.n_frames, stream.pw)
+            if key not in self._demand_memo:
+                self._demand_memo[key] = self._planned_busy(stream)
+            total, n = self._demand_memo[key]
+        rate = stream.fps if fps is None else fps
+        return rate * total / n
+
+    def _planned_busy(self, stream: FrameStream) -> tuple[float, int]:
+        """Busy seconds of the stream's key plan, and its frame count."""
         keys = plan_keys(stream, self.backend.capabilities.supports_ism)
         key_s = self.key_frame_seconds(stream)
         # an ISM-less backend plans no non-key frame and cannot price one
         nonkey_s = self.nonkey_frame_seconds(stream) if not all(keys) else 0.0
         # frame by frame, in plan order: a count-times-price product
         # rounds differently and could move a placement tie
-        total = sum(key_s if k else nonkey_s for k in keys)
-        rate = stream.fps if fps is None else fps
-        return rate * total / len(keys)
+        return sum(key_s if k else nonkey_s for k in keys), len(keys)
 
     def deadline_pressure(
         self, stream: FrameStream, fps: float | None = None

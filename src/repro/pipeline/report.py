@@ -357,7 +357,7 @@ def format_report(report: EngineReport) -> str:
     table = render_table(
         f"Stream serving on {report.backend!r} ({report.scheduler}) — "
         f"{report.aggregate_fps:.1f} fps aggregate, "
-        f"cache hit rate {report.cache.hit_rate:.0%}",
+        f"{report.cache.misses} schedules solved",
         headers,
         rows,
     )

@@ -25,6 +25,8 @@ and degraded-window p99 into ``benchmarks/results/BENCH_chaos.json``
 the suite cheaply (see ``.github/workflows/ci.yml``).
 """
 
+import dataclasses
+import hashlib
 import json
 import os
 import pathlib
@@ -47,6 +49,7 @@ from repro.cluster import (
     format_resilience,
 )
 from repro.backends.systolic import SystolicBackend
+from repro.cluster.faults import _Replica
 from repro.hw.config import HWConfig
 from repro.pipeline import FrameCoster, FrameStream
 from repro.pipeline.quality import QualityProbe
@@ -139,6 +142,24 @@ class TestFaultModel:
         engine = ChaosClusterEngine(["gpu", "gpu"], faults=schedule)
         with pytest.raises(ValueError, match="killed every replica"):
             engine.run(_streams())
+
+    def test_autoscaler_floor_does_not_outlive_a_crash(self):
+        # the autoscaler retires gpu:1 at its first tick (0.1 s); the
+        # crash of gpu:0 at 0.5 s then leaves no live replica, and the
+        # floor of min_replicas=1 binds only the autoscaler's own
+        # scale-downs, so the error must not advise attaching one
+        engine = ChaosClusterEngine(
+            ["gpu", "gpu"],
+            faults=FaultSchedule(faults=(CrashFault("gpu:0", at_s=0.5),)),
+            autoscaler=Autoscaler(interval_s=0.1, down_hold=1,
+                                  low_pressure=0.5, high_pressure=0.9),
+        )
+        with pytest.raises(ValueError, match="killed every replica") as err:
+            engine.run(_streams(n=2, frames=24, deadline=0.05))
+        message = str(err.value)
+        assert "t=0.5s" in message
+        assert "even with an autoscaler attached" in message
+        assert "attach an autoscaler" not in message
 
     def test_schedule_accessors(self):
         crash = CrashFault("gpu:1", at_s=0.5)
@@ -525,6 +546,246 @@ class TestAutoscaler:
         assert [(e.stream, e.shard) for e in moves] == [("cam2", "systolic:0")]
         assert (slow, "cam2") in priced
         assert (fast, "cam2") in priced
+
+
+# ----------------------------------------------------------------------
+# a replay through every dispatch branch, pinned
+# ----------------------------------------------------------------------
+class TestDispatchBranchReplay:
+    """One fault mix that drives the chaos loop through every branch a
+    dispatch can take, with its outputs pinned with ``==``.
+
+    Both crashes land inside a service (an in-flight kill), the
+    slowdown window opens and closes, the flaky shard fails attempts
+    that are retried and, past ``max_attempts``, dropped, the crashed
+    shards' streams fail over, and the autoscaler scales up (under
+    ``shed`` it also scales down).  The pins were captured before the
+    loop kept per-replica state, so any rework of the loop must leave
+    every placement, event, latency statistic and shard makespan
+    bit-identical.  Rendered text is not pinned: it is presentation.
+    """
+
+    FLEET = ["gpu", "gpu", "systolic", "systolic"]
+    SCHEDULE = FaultSchedule(
+        faults=(
+            CrashFault("gpu:1", at_s=0.1871),
+            CrashFault("systolic:0", at_s=0.3213),
+            SlowdownFault("gpu:0", start_s=0.1, duration_s=0.3, factor=2.0),
+            FlakyFault("systolic:1", start_s=0.0, duration_s=0.6,
+                       failure_rate=0.4),
+        ),
+        seed=5,
+    )
+    DISCIPLINES = ("fifo", "edf", "shed", "priority")
+
+    #: every discipline ends on the same placement
+    PLACEMENT = (
+        "systolic:1", "gpu:0", "gpu:2", "systolic:1", "gpu:0", "systolic:1",
+        "gpu:2", "systolic:1",
+    )
+    #: (label, frames served, makespan s) of each shard, in fleet order
+    SHARDS = {
+        "fifo": (
+            ("gpu:0", 123, 0.6585279537024379),
+            ("gpu:1", 45, 0.1871),
+            ("systolic:0", 129, 0.3213),
+            ("systolic:1", 243, 0.7310426126666679),
+            ("gpu:2", 83, 0.6641909983542046),
+        ),
+        "edf": (
+            ("gpu:0", 127, 0.6585279537024379),
+            ("gpu:1", 44, 0.1871),
+            ("systolic:0", 127, 0.3213),
+            ("systolic:1", 246, 0.7198189476666681),
+            ("gpu:2", 79, 0.6641909983542046),
+        ),
+        "shed": (
+            ("gpu:0", 111, 0.6585279537024379),
+            ("gpu:1", 45, 0.1871),
+            ("systolic:0", 129, 0.3213),
+            ("systolic:1", 168, 0.8460443946666654),
+            ("gpu:2", 76, 0.7500000000000001),
+        ),
+        "priority": (
+            ("gpu:0", 123, 0.6585279537024379),
+            ("gpu:1", 44, 0.1871),
+            ("systolic:0", 131, 0.3213),
+            ("systolic:1", 240, 0.7222342613333331),
+            ("gpu:2", 83, 0.6641909983542046),
+        ),
+    }
+    #: sha256 of ``repr(report.resilience.events)``
+    EVENTS_SHA256 = {
+        "fifo":
+            "d7bcc03ff2432240c7f881efdd9c69f9da0893e392ae592f9779cf7421c4d025",
+        "edf":
+            "e172626bc67e75283e1d84287d6179a9fffd7bdac7fdecf4137480cb1f415e54",
+        "shed":
+            "521a3d726f6f9d9b3f65b16a9fbf01a58a82d7ccbf18eae786002dfd856b72b6",
+        "priority":
+            "2a9de163c78b324fb958a3974fe233020ef258b77b44aff70d28472c7736db85",
+    }
+    #: ``dataclasses.astuple`` of every StreamStats, in stream order
+    STATS = {
+        "fifo": (
+            ("cam0", 79, 40, 52.672479873418375, 30.47507466666727,
+             128.24470026666805, 133.92333670000133, 135.12889300000143,
+             50.2986925696209, 41, 1, 105.12889300000138, None),
+            ("cam1", 75, 24, 16.253650323093648, 6.998188992550003,
+             55.83073605788042, 66.39560396832205, 67.31160124393304,
+             14.177300650564073, 7, 5, 7.311601243933041, None),
+            ("cam2", 80, 41, 12.780051946100281, 7.52435653593686,
+             34.10693306798732, 38.01848900167746, 38.996377985099976,
+             7.905545393763174, 8, 0, 8.9963779851, None),
+            ("cam3", 79, 24, 53.88396062413764, 53.398874666667375,
+             125.61295413333481, 130.74756971333466, 133.23147633333465,
+             52.11670266112764, 40, 1, 73.23147633333465, None),
+            ("cam4", 76, 41, 20.30615485648031, 13.996377985100006,
+             61.85081114501507, 68.20575551331143, 74.30979023648304,
+             17.027294244281023, 23, 4, 44.30979023648307, None),
+            ("cam5", 78, 22, 54.99618926068441, 55.32622283333404,
+             124.69839341666793, 129.8821932833347, 130.153103666668,
+             53.62686095299212, 40, 2, 70.15310366666804, None),
+            ("cam6", 79, 40, 15.693027696818918, 13.99637798509995,
+             39.164858972336496, 42.82571153769852, 44.75673282141896,
+             12.34521865039774, 13, 1, 14.756732821418982, None),
+            ("cam7", 77, 24, 56.000262086000205, 41.98913395529985,
+             130.50466986666802, 137.9006759333346, 138.16806800000126,
+             54.37597147580409, 41, 3, 78.16806800000131, None),
+        ),
+        "edf": (
+            ("cam0", 79, 40, 36.847121261604066, 20.287045000000614,
+             98.5626341666681, 106.15753722000146, 108.18087100000152,
+             34.473333957806595, 38, 1, 78.18087100000149, None),
+            ("cam1", 77, 23, 27.961648310194985, 13.996377985100006,
+             82.2367173521452, 88.22566212198747, 92.60353179758984,
+             25.96363759609206, 15, 3, 32.603531797589845, None),
+            ("cam2", 80, 41, 8.820536719160694, 6.998188992550003,
+             18.678100557551737, 22.999060349687223, 25.517087657737747,
+             3.857336427109813, 0, 0, 0.0, None),
+            ("cam3", 78, 24, 52.98418295007976, 52.70513266666751,
+             119.24206303333496, 124.37949779333483, 128.0989586666681,
+             51.19551540016647, 40, 2, 68.09895866666815, None),
+            ("cam4", 76, 40, 15.572427748648309, 8.108685724214165,
+             51.40672269129065, 61.402186889865995, 67.5062216130376,
+             12.384252215298366, 18, 4, 37.506221613037624, None),
+            ("cam5", 77, 23, 52.61602860606134, 55.717243666667414,
+             118.12415520000144, 124.53392548000147, 128.20508166666812,
+             51.17213091774965, 41, 3, 68.20508166666816, None),
+            ("cam6", 79, 40, 10.587068039616216, 6.998188992549989,
+             23.859809877524008, 29.614922860000426, 31.002150000000505,
+             7.269697172652024, 2, 1, 1.002150000000479, None),
+            ("cam7", 77, 23, 54.821008233766946, 61.48561433333477,
+             125.43001500000153, 132.01951094666816, 136.32616900000139,
+             53.37711054545527, 42, 3, 76.32616900000144, None),
+        ),
+        "shed": (
+            ("cam0", 59, 40, 53.383045502824906, 5.527069666666667,
+             177.4402319999992, 181.32013813333222, 182.29011466666546,
+             50.24055843502829, 41, 21, 152.29011466666543, None),
+            ("cam1", 72, 26, 17.85541313207824, 7.613851279102606,
+             58.619926413305954, 65.41569628002073, 67.31160124393304,
+             15.504912402883, 11, 8, 7.311601243933041, None),
+            ("cam2", 77, 41, 11.763244339080588, 6.998188992550003,
+             30.184425335929994, 37.98166828610466, 38.996377985099976,
+             6.702613252933687, 7, 3, 8.9963779851, None),
+            ("cam3", 60, 33, 57.16221165511373, 8.083854496274988,
+             181.94137333333254, 185.88817439999886, 186.87487466666542,
+             54.197132070483924, 40, 20, 126.87487466666548, None),
+            ("cam4", 66, 41, 19.82739788011615, 12.882808325883337,
+             65.65567956752942, 72.5741025934647, 74.30979023648304,
+             16.066617700325615, 28, 14, 44.30979023648307, None),
+            ("cam5", 60, 31, 58.875819888888934, 9.746797833333341,
+             186.5261333333325, 190.47293439999882, 191.45963466666538,
+             56.455734438888946, 40, 20, 131.45963466666544, None),
+            ("cam6", 75, 40, 14.449723036620913, 13.75427999999998,
+             37.44964319663666, 42.68340901250736, 44.65942263686667,
+             10.92855405090006, 13, 5, 14.659422636866704, None),
+            ("cam7", 60, 32, 61.807393438143926, 13.75427999999998,
+             191.11089333333246, 195.05769439999878, 196.04439466666534,
+             59.15580373839225, 41, 20, 136.0443946666654, None),
+        ),
+        "priority": (
+            ("cam0", 80, 40, 69.77621706250018, 70.80160083333374,
+             179.9966727333333, 187.4032953833333, 189.284895,
+             67.43077556250017, 42, 0, 159.28489499999998, None),
+            ("cam1", 75, 24, 15.700341494981512, 7.095499177102282,
+             52.364458288430995, 63.315568570730306, 67.5062216130376,
+             13.623991822451933, 7, 5, 7.5062216130376, None),
+            ("cam2", 80, 41, 7.7683818277641254, 6.998188992549986,
+             13.996377985099977, 17.470491045572675, 25.517087657737747,
+             2.805181535713243, 0, 0, 0.0, None),
+            ("cam3", 78, 23, 73.63402419377987, 67.96147166666644,
+             188.40771899999987, 197.02259204333328, 203.35754399999993,
+             72.02343683598326, 43, 2, 143.35754399999996, None),
+            ("cam4", 76, 40, 17.23285885103981, 12.668428125227269,
+             49.54997145694408, 58.366150393221325, 59.367508648808794,
+             14.044683317689868, 22, 4, 29.367508648808773, None),
+            ("cam5", 76, 24, 4.57828997807065, 1.9907423333334062,
+             17.640301916667518, 25.287891666668187, 26.58118066666787,
+             3.057860557018013, 4, 4, 0.0, None),
+            ("cam6", 79, 40, 21.18840211979033, 13.996377985099977,
+             66.2740549713564, 70.20226846429281, 71.09187716220228,
+             17.810154893912163, 22, 1, 41.09187716220231, None),
+            ("cam7", 77, 23, 7.249423736008782, 5.638848333335167,
+             22.104837666667546, 26.98368593333477, 29.832601666668126,
+             5.6832972426957875, 3, 3, 0.0, None),
+        ),
+    }
+
+    def _run(self, discipline):
+        streams = [
+            FrameStream(f"cam{i}", size=TINY, n_frames=80, fps=120.0,
+                        mode="baseline", pw=4 if i % 2 else 2,
+                        deadline_s=(0.03, 0.06)[i % 2], priority=i % 3)
+            for i in range(8)
+        ]
+        engine = ChaosClusterEngine(
+            self.FLEET, scheduler=discipline, faults=self.SCHEDULE,
+            retry=RetryPolicy(max_attempts=2, backoff_s=0.002),
+            autoscaler=Autoscaler(backend="gpu", interval_s=0.05,
+                                  up_hold=1, down_hold=2,
+                                  low_pressure=0.3, high_pressure=0.9),
+        )
+        return engine.run(streams)
+
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    def test_reaches_every_dispatch_branch(self, discipline, monkeypatch):
+        killed = []
+        occupy = _Replica.occupy
+
+        def recorded(replica, start_s, done_s):
+            if done_s == replica.crash_s:  # service cut short by the crash
+                killed.append(replica.label)
+            occupy(replica, start_s, done_s)
+
+        monkeypatch.setattr(_Replica, "occupy", recorded)
+        res = self._run(discipline).resilience
+        kinds = [e.kind for e in res.events]
+        assert sorted(killed) == ["gpu:1", "systolic:0"]
+        assert kinds.count("crash") == 2
+        assert kinds.count("migrate") == 12
+        assert kinds.count("scale-up") == 1
+        assert kinds.count("scale-down") == (discipline == "shed")
+        for kind in ("flaky-fail", "retry-drop", "slowdown-start",
+                     "slowdown-end"):
+            assert kind in kinds
+
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    def test_outputs_pinned(self, discipline):
+        report = self._run(discipline)
+        assert report.placement == tuple(
+            (f"cam{i}", label) for i, label in enumerate(self.PLACEMENT))
+        assert tuple(
+            (s.label, s.report.total_frames, s.report.makespan_s)
+            for s in report.shards
+        ) == self.SHARDS[discipline]
+        assert tuple(
+            dataclasses.astuple(s) for s in report.stream_stats
+        ) == self.STATS[discipline]
+        events = repr(report.resilience.events).encode()
+        assert (hashlib.sha256(events).hexdigest()
+                == self.EVENTS_SHA256[discipline])
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """The heterogeneous cluster layer: placement, serving, planning."""
 
+import numpy as np
 import pytest
 
 from repro.backends import get_backend
 from repro.cluster import (
+    Autoscaler,
+    ChaosClusterEngine,
     ClusterEngine,
+    CrashFault,
+    FaultSchedule,
     available_policies,
     format_capacity_plan,
     format_cluster_report,
@@ -248,6 +253,24 @@ class TestClusterEngine:
         for policy in POLICIES:
             assert policy in comparison
 
+    def test_shard_table_shows_schedules_solved(self):
+        # a per-shard backend sees one lookup per workload, so its hit
+        # rate is a constant 0; the table shows the schedules solved
+        engine = ClusterEngine(["gpu", "systolic"], policy="round-robin")
+        report = engine.run(_mixed_streams())
+        text = format_cluster_report(report)
+        assert "cache hit" not in text
+        table = text.split("Backend shards", 1)[1].splitlines()
+        assert table[2].split()[-2:] == ["schedules", "solved"]
+        rows = {line.split()[0]: int(line.split()[-1]) for line in table[4:]}
+        solved = {label: backend.cache_info().misses
+                  for label, backend in zip(engine.labels, engine.backends)}
+        assert rows == solved
+        assert rows == {s.label: s.report.cache.misses for s in report.shards}
+        # systolic solves FlowNetC and DispNet; the GPU degrades cam2's
+        # dct to baseline, the schedule it already solved for cam0
+        assert rows == {"gpu:0": 1, "systolic:0": 2}
+
 
 # ----------------------------------------------------------------------
 # the capacity planner
@@ -413,3 +436,112 @@ class TestFailoverDeterminism:
             return format_cluster_report(engine.run(streams))
 
         assert render("process") == render("thread")
+
+
+# ----------------------------------------------------------------------
+# fleet-sim pins: the benchmark fleet's simulated outputs, exact
+# ----------------------------------------------------------------------
+class TestFleetSimPins:
+    """The end-to-end benchmark's cost-only fleet, served for seeds 1-3
+    under fifo, edf, shed and the chaos engine, pinned with ``==``.
+
+    The workload is rebuilt here the way ``benchmarks/e2e/serve.py``
+    builds it (``fleet_streams``, ``crash_schedule``,
+    ``build_engine``): a copy, not an import, so the pins hold the
+    library to its outputs even if the benchmark changes.  Placement
+    ties, float sums and dispatch order all reach these numbers, so
+    any optimisation of the cost model or the event loops must leave
+    them bit-identical.
+    """
+
+    FLEET = ("gpu", "gpu", "systolic", "systolic")
+    DEADLINES_S = (0.015, 0.03, 0.06)
+    CAMERAS, FRAMES, SIZE, FPS = 16, 300, (96, 160), 88.0
+
+    #: fifo, edf and shed place by demand alone: one placement, every seed
+    PLAIN_PLACEMENT = (
+        "systolic:0", "systolic:1", "systolic:1", "gpu:0",
+        "systolic:0", "gpu:1", "systolic:1", "gpu:0",
+        "systolic:0", "gpu:1", "systolic:1", "gpu:0",
+        "systolic:0", "gpu:1", "systolic:1", "gpu:0",
+    )
+    #: the chaos engine's final placement, after failover and rebalancing
+    CHAOS_PLACEMENT = {
+        1: ("systolic:0", "systolic:1", "systolic:1", "gpu:0",
+            "systolic:0", "gpu:2", "gpu:3", "systolic:1",
+            "systolic:0", "gpu:0", "gpu:2", "systolic:1",
+            "systolic:1", "gpu:3", "systolic:0", "gpu:0"),
+        2: ("systolic:0", "gpu:0", "systolic:0", "gpu:1",
+            "gpu:2", "gpu:3", "gpu:4", "gpu:0",
+            "systolic:0", "gpu:1", "gpu:3", "gpu:2",
+            "systolic:0", "gpu:4", "gpu:0", "gpu:1"),
+        3: ("systolic:0", "gpu:0", "systolic:0", "gpu:1",
+            "gpu:2", "gpu:3", "gpu:4", "gpu:0",
+            "systolic:0", "gpu:1", "gpu:3", "gpu:2",
+            "systolic:0", "gpu:4", "gpu:0", "gpu:1"),
+    }
+    #: (worst_p99_ms, deadline_miss_rate, missed, dropped, crashes,
+    #: migrations)
+    OUTPUTS = {
+        (1, "fifo"): (371.6442662182109, 0.53125, 2550, 0, 0, 0),
+        (1, "edf"): (388.6373076545746, 0.5025, 2412, 0, 0, 0),
+        (1, "shed"): (3182.8505492550735, 0.5983333333333334, 2872, 1362,
+                      0, 0),
+        (1, "chaos"): (86.24353114851517, 0.17416666666666666, 836, 0,
+                       1, 14),
+        (2, "fifo"): (371.6442662182109, 0.496875, 2385, 0, 0, 0),
+        (2, "edf"): (389.2395489454836, 0.4741666666666667, 2276, 0, 0, 0),
+        (2, "shed"): (3161.453958789455, 0.5985416666666666, 2873, 1399,
+                      0, 0),
+        (2, "chaos"): (194.81243913638184, 0.3695833333333333, 1774, 0,
+                       1, 32),
+        (3, "fifo"): (371.6442662182109, 0.570625, 2739, 0, 0, 0),
+        (3, "edf"): (383.5082789454831, 0.5095833333333334, 2446, 0, 0, 0),
+        (3, "shed"): (3182.8505492550735, 0.63625, 3054, 1377, 0, 0),
+        (3, "chaos"): (209.75481486426006, 0.45958333333333334, 2206, 0,
+                       1, 32),
+    }
+
+    def _streams(self, seed):
+        return [
+            FrameStream(
+                f"cam-{i}", network="DispNet", size=self.SIZE,
+                n_frames=self.FRAMES, mode="ilar", pw=4 if i % 2 else 2,
+                fps=self.FPS,
+                deadline_s=self.DEADLINES_S[(i + seed) % len(self.DEADLINES_S)],
+            )
+            for i in range(self.CAMERAS)
+        ]
+
+    def _crash_schedule(self, seed):
+        rng = np.random.default_rng(seed)
+        labels = [f"{name}:{self.FLEET[:i].count(name)}"
+                  for i, name in enumerate(self.FLEET)]
+        shard = labels[int(rng.integers(len(labels)))]
+        at_s = float(rng.uniform(0.3, 0.7)) * self.FRAMES / self.FPS
+        return FaultSchedule(faults=(CrashFault(shard, at_s=at_s),), seed=seed)
+
+    def _engine(self, kind, seed):
+        if kind == "chaos":
+            return ChaosClusterEngine(
+                list(self.FLEET), scheduler="edf",
+                faults=self._crash_schedule(seed),
+                autoscaler=Autoscaler(backend="gpu"),
+            )
+        return ClusterEngine(list(self.FLEET), scheduler=kind)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["fifo", "edf", "shed", "chaos"])
+    def test_simulated_outputs_pinned(self, kind, seed):
+        streams = self._streams(seed)
+        report = self._engine(kind, seed).run(streams)
+        res = report.resilience
+        expected = (self.CHAOS_PLACEMENT[seed] if kind == "chaos"
+                    else self.PLAIN_PLACEMENT)
+        assert report.placement == tuple(
+            (s.name, label) for s, label in zip(streams, expected))
+        assert (
+            report.worst_p99_ms, report.deadline_miss_rate,
+            report.missed_deadlines, report.dropped_frames,
+            res.crashes if res else 0, res.total_migrations if res else 0,
+        ) == self.OUTPUTS[(seed, kind)]

@@ -7,6 +7,7 @@ from repro.backends import BackendCapabilities, ExecutionBackend, get_backend
 from repro.core.keyframe import StaticKeyFramePolicy
 from repro.hw.energy import EnergyBreakdown
 from repro.hw.systolic import LayerResult, RunResult
+from repro.pipeline import costing
 from repro.pipeline import (
     MODE_FALLBACK,
     FrameCoster,
@@ -200,6 +201,59 @@ class TestCostTable:
         if all(keys):  # eyeriss has no ISM, and PW-1 keys every frame
             assert nonkey_calls == []
 
+    @pytest.mark.parametrize("fps", [None, 60.0])
+    @pytest.mark.parametrize("pw", [1, 2, 4])
+    @pytest.mark.parametrize("name", ["gpu", "systolic", "eyeriss"])
+    def test_warm_demand_equals_a_fresh_replay(self, name, pw, fps,
+                                               monkeypatch):
+        stream = _cost_stream("cam", n_frames=30, pw=pw, deadline_s=0.01)
+        warm = FrameCoster(get_backend(name))
+        warm.stream_demand(stream)  # fills the memo
+        fresh = FrameCoster(get_backend(name))
+        keys = plan_keys(stream, fresh.backend.capabilities.supports_ism)
+        rate = stream.fps if fps is None else fps
+        replay = rate * sum(fresh.frame_seconds(stream, k) for k in keys)
+        expected = (fresh.stream_demand(stream, fps),
+                    fresh.deadline_pressure(stream, fps))
+        replays = []
+
+        def counted(*args):
+            replays.append(args)
+            return plan_keys(*args)
+
+        monkeypatch.setattr(costing, "plan_keys", counted)
+        assert warm.stream_demand(stream, fps) == replay / len(keys)
+        assert (warm.stream_demand(stream, fps),
+                warm.deadline_pressure(stream, fps)) == expected
+        assert replays == []  # the warm coster replays no plan
+
+    def test_policy_factory_replays_every_call(self):
+        # a factory's policy may be adaptive or vary between builds, so
+        # its plan is never memoized
+        built = []
+
+        def factory():
+            built.append(1)
+            return StaticKeyFramePolicy(3)
+
+        coster = FrameCoster(get_backend("gpu"))
+        stream = _cost_stream("cam", n_frames=12, policy_factory=factory)
+        first = coster.stream_demand(stream)
+        assert coster.stream_demand(stream) == first
+        coster.deadline_pressure(stream)
+        assert len(built) == 3
+
+    def test_mutated_stream_prices_its_new_plan(self):
+        coster = FrameCoster(get_backend("gpu"))
+        stream = _cost_stream("cam", n_frames=12, pw=4)
+        before = coster.stream_demand(stream)
+        for field, value in (("pw", 2), ("n_frames", 7)):
+            setattr(stream, field, value)
+            fresh = FrameCoster(get_backend("gpu")).stream_demand(
+                _cost_stream("cam", n_frames=stream.n_frames, pw=stream.pw))
+            assert coster.stream_demand(stream) == fresh != before
+            before = fresh
+
     def test_long_stream_looks_up_its_network_once(self):
         report = StreamEngine("systolic").run(
             [_cost_stream("cam", n_frames=300, pw=4)])
@@ -290,6 +344,13 @@ class TestReportFormatting:
     def test_format_report(self, systolic_report):
         text = format_report(systolic_report)
         assert "cam0" in text and "p99 ms" in text and "systolic" in text
+
+    def test_title_counts_schedules_solved(self, systolic_report):
+        # DispNet and FlowNetC: two schedules, and no hit-rate figure,
+        # which reads 0 when each workload is looked up once
+        title = format_report(systolic_report).splitlines()[0]
+        assert title.endswith(", 2 schedules solved")
+        assert "cache hit" not in title
 
     def test_format_backend_comparison(self, systolic_report):
         text = format_backend_comparison([systolic_report], target_fps=30.0)
