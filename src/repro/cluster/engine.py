@@ -96,6 +96,22 @@ class ClusterEngine:
             labels.append(f"{backend.name}:{n}")
         return labels
 
+    @staticmethod
+    def _checked_streams(streams: Sequence[FrameStream]) -> list[FrameStream]:
+        """``streams`` as a list, refusing an empty run or a repeated name."""
+        streams = list(streams)
+        if not streams:
+            raise ValueError("need at least one stream")
+        names = [s.name for s in streams]
+        if len(set(names)) != len(names):
+            dupes = sorted({n for n in names if names.count(n) > 1})
+            raise ValueError(
+                f"stream names must be unique within a cluster run "
+                f"(placement and reports are keyed by name); duplicates: "
+                f"{dupes}"
+            )
+        return streams
+
     def place(self, streams: Sequence[FrameStream]) -> list[int]:
         """The policy's placement: one backend index per stream.
 
@@ -128,17 +144,7 @@ class ClusterEngine:
         >>> report.total_frames, len(report.shards)
         (4, 1)
         """
-        streams = list(streams)
-        if not streams:
-            raise ValueError("need at least one stream")
-        names = [s.name for s in streams]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(
-                f"stream names must be unique within a cluster run "
-                f"(placement and reports are keyed by name); duplicates: "
-                f"{dupes}"
-            )
+        streams = self._checked_streams(streams)
         placement = self.place(streams)
 
         groups: list[list[FrameStream]] = [[] for _ in self.backends]

@@ -54,12 +54,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from repro.backends.base import ExecutionBackend
-from repro.backends.registry import get_backend
+from repro.backends.registry import available_backends, get_backend
 from repro.cluster.autoscale import Autoscaler, AutoscalerState
 from repro.cluster.engine import ClusterEngine
 from repro.cluster.policies import PlacementPolicy
@@ -70,10 +72,10 @@ from repro.cluster.report import (
     ResilienceStats,
     StreamResilience,
 )
-from repro.pipeline.costing import FrameCoster, ServeOutcome, plan_keys
+from repro.pipeline.costing import FrameCoster, ServeOutcome
 from repro.pipeline.quality import QualityProbe
 from repro.pipeline.report import EngineReport, StreamStats
-from repro.pipeline.schedulers import FrameJob, FrameScheduler, RekeyLedger
+from repro.pipeline.schedulers import FrameScheduler, RekeyLedger, frame_queues
 from repro.pipeline.stream import FrameStream
 
 __all__ = [
@@ -84,6 +86,8 @@ __all__ = [
     "RetryPolicy",
     "SlowdownFault",
 ]
+
+_SEQ = attrgetter("seq")
 
 
 @dataclass(frozen=True)
@@ -384,6 +388,11 @@ class ChaosClusterEngine(ClusterEngine):
                 f"fault schedule targets unknown shards {sorted(unknown)}; "
                 f"fleet labels are {self.labels}"
             )
+        if autoscaler and autoscaler.backend not in available_backends():
+            raise ValueError(
+                f"autoscaler scales up an unknown backend "
+                f"{autoscaler.backend!r}; available: {available_backends()}"
+            )
 
     # ------------------------------------------------------------------
     # the fleet-level discrete-event loop
@@ -400,18 +409,7 @@ class ChaosClusterEngine(ClusterEngine):
         >>> report.total_frames, report.resilience.events
         (4, ())
         """
-        streams = list(streams)
-        if not streams:
-            raise ValueError("need at least one stream")
-        names = [s.name for s in streams]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(
-                f"stream names must be unique within a cluster run "
-                f"(placement and reports are keyed by name); duplicates: "
-                f"{dupes}"
-            )
-
+        streams = self._checked_streams(streams)
         replicas = [
             _Replica(backend, coster, label)
             for backend, coster, label in zip(
@@ -437,29 +435,10 @@ class ChaosClusterEngine(ClusterEngine):
 
         # per-stream job queues under the *initial* shard's key plan;
         # ISM support is re-checked at dispatch after any migration
-        queues: list[list[FrameJob]] = []
-        jobs_flat: list[FrameJob] = []
-        for si, stream in enumerate(streams):
-            supports = replicas[assigned[si]].coster.backend.capabilities.supports_ism
-            queue = [
-                FrameJob(
-                    seq=0,
-                    arrival_s=fi / stream.fps,
-                    stream_index=si,
-                    frame_index=fi,
-                    is_key=is_key,
-                    deadline_s=stream.frame_deadline(fi),
-                    priority=stream.priority,
-                )
-                for fi, is_key in enumerate(plan_keys(stream, supports))
-            ]
-            queues.append(queue)
-            jobs_flat.extend(queue)
-        jobs_flat.sort(
-            key=lambda j: (j.arrival_s, j.stream_index, j.frame_index)
-        )
-        for seq, job in enumerate(jobs_flat):
-            job.seq = seq
+        queues = frame_queues(streams, [
+            replicas[ri].coster.backend.capabilities.supports_ism
+            for ri in assigned
+        ])
 
         head = [0] * n                  # next unserved frame per stream
         not_before = [0.0] * n          # retry-backoff gate on the head
@@ -513,6 +492,16 @@ class ChaosClusterEngine(ClusterEngine):
 
         def eff_arrival(si: int) -> float:
             return max(queues[si][head[si]].arrival_s, not_before[si])
+
+        def finish_frame(r: _Replica, si: int, disposition: str) -> None:
+            dispositions[si].append(disposition)
+            head[si] += 1
+            not_before[si] = 0.0
+            attempts[si] = 0
+            if head[si] < len(queues[si]):
+                r.ready[si] = eff_arrival(si)
+            else:
+                del r.ready[si]
 
         for si in range(n):
             replicas[assigned[si]].ready[si] = eff_arrival(si)
@@ -656,9 +645,9 @@ class ChaosClusterEngine(ClusterEngine):
             # dispatch one frame on replica ri at t_disp
             r = dispatched = replicas[ri]
             ready = sorted(
-                (queues[si][head[si]] for si, at in r.ready.items()
-                 if at <= t_disp),
-                key=lambda j: j.seq,
+                [queues[si][head[si]] for si, at in r.ready.items()
+                 if at <= t_disp],
+                key=_SEQ,
             )
             job = ready[self.scheduler.select(ready, t_disp)]
             si = job.stream_index
@@ -669,29 +658,18 @@ class ChaosClusterEngine(ClusterEngine):
                 r.coster.backend.capabilities.supports_ism,
             )
 
-            def finish_frame(disposition: str) -> None:
-                dispositions[si].append(disposition)
-                head[si] += 1
-                not_before[si] = 0.0
-                attempts[si] = 0
-                if head[si] < len(queues[si]):
-                    r.ready[si] = eff_arrival(si)
-                else:
-                    del r.ready[si]
-
             if not self.scheduler.admit(job, start, is_key):
                 dropped[si] += 1
                 missed[si] += 1
                 rekey.chain_broken(si)
-                finish_frame("drop")
+                finish_frame(r, si, "drop")
                 pending -= 1
                 continue
 
-            service = (
-                r.coster.frame_seconds(stream, is_key)
-                * r.slowdown_factor(start)
-            )
-            rate = r.failure_rate(start)
+            service = r.coster.frame_seconds(stream, is_key)
+            if r.slow:  # with no slowdown fault the factor is exactly 1.0
+                service *= r.slowdown_factor(start)
+            rate = r.failure_rate(start) if r.flaky else 0.0
             fails = rate > 0.0 and _u01(
                 self.faults.seed, r.label, stream.name,
                 job.frame_index, attempts[si],
@@ -718,7 +696,7 @@ class ChaosClusterEngine(ClusterEngine):
                     events.append(FaultEvent(
                         done, "retry-drop", r.label, stream=stream.name,
                         detail=f"frame {job.frame_index}"))
-                    finish_frame("drop")
+                    finish_frame(r, si, "drop")
                     pending -= 1
                 else:
                     not_before[si] = done + (
@@ -756,7 +734,7 @@ class ChaosClusterEngine(ClusterEngine):
                     crash_recovery[crash_at] = gap
                 down_since[si] = None
                 down_crash[si] = None
-            finish_frame("key" if is_key else "nonkey")
+            finish_frame(r, si, "key" if is_key else "nonkey")
             pending -= 1
 
         return self._assemble_report(
@@ -855,14 +833,14 @@ class ChaosClusterEngine(ClusterEngine):
             ]
         )
 
-        def in_window(t: float) -> bool:
-            return any(w0 <= t <= w1 for w0, w1 in windows)
-
-        degraded, steady = [], []
-        for si in range(n):
-            for lat, done in zip(latencies[si], completions[si]):
-                (degraded if in_window(done) else steady).append(1e3 * lat)
-        p99 = lambda xs: float(np.percentile(xs, 99.0)) if xs else 0.0
+        # a percentile depends on the multiset of latencies, not their order
+        latency_ms = 1e3 * np.fromiter(chain(*latencies), dtype=np.float64)
+        done_s = np.fromiter(chain(*completions), dtype=np.float64)
+        in_window = np.zeros(done_s.shape, dtype=bool)
+        for w0, w1 in windows:
+            in_window |= (w0 <= done_s) & (done_s <= w1)
+        degraded, steady = latency_ms[in_window], latency_ms[~in_window]
+        p99 = lambda xs: float(np.percentile(xs, 99.0)) if xs.size else 0.0
 
         resilience = ResilienceStats(
             events=tuple(sorted(events, key=lambda e: e.time_s)),

@@ -42,7 +42,10 @@ New disciplines plug in with :func:`register_scheduler`, mirroring
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.pipeline.costing import ServeOutcome, plan_keys
@@ -60,6 +63,7 @@ __all__ = [
     "RekeyLedger",
     "ShedScheduler",
     "available_schedulers",
+    "frame_queues",
     "get_scheduler",
     "register_scheduler",
 ]
@@ -186,16 +190,59 @@ class FrameJob:
     priority: int
 
 
+_SEQ = attrgetter("seq")
+
+
+def frame_queues(
+    streams: Sequence[FrameStream], supports_ism: Sequence[bool]
+) -> list[list[FrameJob]]:
+    """One :class:`FrameJob` queue per stream, in frame order.
+
+    ``supports_ism[si]`` is the ISM support of the backend stream
+    ``si`` is planned on (:func:`~repro.pipeline.costing.plan_keys`).
+    ``seq`` numbers the jobs of every queue by arrival, ties broken by
+    stream index: the order in which both event loops hand
+    :meth:`FrameScheduler.select` its ready list.
+
+    >>> queues = frame_queues([FrameStream("a", n_frames=2, fps=10.0),
+    ...                        FrameStream("b", n_frames=2, fps=20.0)],
+    ...                       [True, True])
+    >>> [[job.seq for job in queue] for queue in queues]
+    [[0, 3], [1, 2]]
+    """
+    queues = []
+    for si, (s, ism) in enumerate(zip(streams, supports_ism, strict=True)):
+        fps, deadline, priority = s.fps, s.frame_deadline, s.priority
+        # positional: keyword arguments make a dataclass call twice as dear
+        queues.append([
+            FrameJob(0, fi / fps, si, fi, is_key, deadline(fi), priority)
+            for fi, is_key in enumerate(plan_keys(s, ism))
+        ])
+    # a stable sort on arrival alone: the queues chain in stream order
+    # and a stream's arrivals rise, so ties break by stream index
+    jobs = sorted(chain.from_iterable(queues), key=attrgetter("arrival_s"))
+    for seq, job in enumerate(jobs):
+        job.seq = seq
+    return queues
+
+
 class FrameScheduler:
     """The protocol: pick which ready frame the backend serves next.
 
-    Subclasses implement :meth:`select` (an index into the ready
-    queue, restricted to :meth:`stream_heads` candidates so streams
-    never internally reorder) and may override :meth:`admit` for
-    drop-on-late admission control.  The shared discrete-event loop in
-    :meth:`serve` does everything else: arrivals at camera rate, a
-    single non-preemptive server, queue-wait vs service-time
-    accounting, deadline bookkeeping, and ISM re-keying after drops.
+    Subclasses implement :meth:`select` (an index into the ready list)
+    and may override :meth:`admit` for drop-on-late admission control.
+    The shared discrete-event loop in :meth:`serve` does everything
+    else: arrivals at camera rate, a single non-preemptive server,
+    queue-wait vs service-time accounting, deadline bookkeeping, and
+    ISM re-keying after drops.
+
+    The ready list holds one job per stream: the stream's *head* (its
+    earliest frame not yet served or dropped), once it has arrived,
+    ordered by ``seq`` (arrival).  :meth:`serve` and the fleet loop,
+    :meth:`ChaosClusterEngine.run <repro.cluster.faults.
+    ChaosClusterEngine.run>`, both keep that contract, so any index
+    :meth:`select` returns is a head and frames of one stream never
+    reorder.
 
     Schedulers are stateless across runs — the registry hands out
     fresh instances, and :meth:`serve` keeps all per-run state local —
@@ -210,9 +257,8 @@ class FrameScheduler:
     def select(self, ready: Sequence[FrameJob], now_s: float) -> int:
         """Index (into ``ready``) of the job to dispatch at ``now_s``.
 
-        ``ready`` is ordered by arrival (``seq``); implementations
-        must pick one of :meth:`stream_heads` so frames of one stream
-        never reorder.
+        ``ready`` holds one arrived head per stream, ordered by arrival
+        (``seq``), so every index is a legal choice.
         """
         raise NotImplementedError
 
@@ -228,8 +274,14 @@ class FrameScheduler:
     def stream_heads(ready: Sequence[FrameJob]) -> list[int]:
         """Indices of each stream's earliest ready frame, by arrival.
 
-        The only legal candidates for :meth:`select`: dispatching any
-        later frame of a stream would reorder its ISM chain.
+        Dispatching any later frame of a stream would reorder its ISM
+        chain.  The event loops pass heads only, so on their ready
+        lists this returns every index.
+
+        >>> jobs = frame_queues([FrameStream("a", n_frames=2),
+        ...                      FrameStream("b", n_frames=1)], [True, True])
+        >>> FrameScheduler.stream_heads([jobs[0][0], jobs[1][0], jobs[0][1]])
+        [0, 1]
         """
         seen: set[int] = set()
         heads = []
@@ -260,25 +312,11 @@ class FrameScheduler:
         >>> out.total_frames, out.scheduler
         (4, 'fifo')
         """
-        supports_ism = coster.backend.capabilities.supports_ism
-
-        jobs: list[FrameJob] = []
-        for si, stream in enumerate(streams):
-            for fi, is_key in enumerate(plan_keys(stream, supports_ism)):
-                jobs.append(FrameJob(
-                    seq=0,
-                    arrival_s=fi / stream.fps,
-                    stream_index=si,
-                    frame_index=fi,
-                    is_key=is_key,
-                    deadline_s=stream.frame_deadline(fi),
-                    priority=stream.priority,
-                ))
-        jobs.sort(key=lambda j: (j.arrival_s, j.stream_index, j.frame_index))
-        for seq, job in enumerate(jobs):
-            job.seq = seq
-
         n = len(streams)
+        queues = frame_queues(
+            streams, [coster.backend.capabilities.supports_ism] * n
+        )
+        jobs = sorted(chain.from_iterable(queues), key=_SEQ)  # by arrival
         latencies: list[list[float]] = [[] for _ in streams]
         waits: list[list[float]] = [[] for _ in streams]
         services: list[list[float]] = [[] for _ in streams]
@@ -286,6 +324,7 @@ class FrameScheduler:
         missed = [0] * n
         dropped = [0] * n
         worst_late = [0.0] * n
+        head = [0] * n  # each stream's next frame to serve or drop
         rekey = RekeyLedger(n)
         # per-stream frame-order record of what actually happened:
         # "key" / "nonkey" (served) or "drop" — the quality probe
@@ -294,23 +333,27 @@ class FrameScheduler:
 
         server_free = 0.0
         busy = 0.0
-        ready: list[FrameJob] = []
-        i = 0
+        ready: list[FrameJob] = []  # the arrived heads, in seq order
+        i = 0  # jobs[:i] have arrived
         while i < len(jobs) or ready:
-            # everything that has arrived by the time the server frees
-            while i < len(jobs) and jobs[i].arrival_s <= server_free:
-                ready.append(jobs[i])
-                i += 1
             now = server_free
-            if not ready:
+            if not ready and jobs[i].arrival_s > now:
                 # idle server: jump to the next arrival instant — the
                 # dispatch decision then happens at that instant
                 now = jobs[i].arrival_s
-                while i < len(jobs) and jobs[i].arrival_s <= now:
-                    ready.append(jobs[i])
-                    i += 1
+            # a frame that arrives behind its stream's head joins the
+            # ready list when the head leaves it (below)
+            while i < len(jobs) and jobs[i].arrival_s <= now:
+                job = jobs[i]
+                if job.frame_index == head[job.stream_index]:
+                    ready.append(job)
+                i += 1
             job = ready.pop(self.select(ready, now))
             si = job.stream_index
+            head[si] += 1
+            if head[si] < len(queues[si]) and queues[si][head[si]].seq < i:
+                # the stream's next frame has arrived: it is the head now
+                insort(ready, queues[si][head[si]], key=_SEQ)
             start = max(job.arrival_s, server_free)
             is_key = rekey.effective_key(si, job.is_key)
             if not self.admit(job, start, is_key):
@@ -387,10 +430,13 @@ class EdfScheduler(FrameScheduler):
     name = "edf"
 
     def select(self, ready: Sequence[FrameJob], now_s: float) -> int:
-        return min(
-            self.stream_heads(ready),
-            key=lambda idx: (ready[idx].deadline_s, ready[idx].seq),
-        )
+        # ``ready`` is in seq order, so keeping the first of equal
+        # deadlines is the (deadline_s, seq) minimum
+        best = 0
+        for idx in range(1, len(ready)):
+            if ready[idx].deadline_s < ready[best].deadline_s:
+                best = idx
+        return best
 
 
 @register_scheduler("priority")
@@ -407,14 +453,8 @@ class PriorityScheduler(FrameScheduler):
     name = "priority"
 
     def select(self, ready: Sequence[FrameJob], now_s: float) -> int:
-        return min(
-            self.stream_heads(ready),
-            key=lambda idx: (
-                -ready[idx].priority,
-                not ready[idx].is_key,
-                ready[idx].seq,
-            ),
-        )
+        keys = [(-job.priority, not job.is_key, job.seq) for job in ready]
+        return keys.index(min(keys))
 
 
 @register_scheduler("shed")

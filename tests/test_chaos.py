@@ -33,6 +33,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -125,6 +126,12 @@ class TestFaultModel:
         schedule = FaultSchedule(faults=(CrashFault("gpu:7", at_s=0.1),))
         with pytest.raises(ValueError, match="unknown shards"):
             ChaosClusterEngine(["gpu", "gpu"], faults=schedule)
+
+    def test_unknown_autoscaler_backend_rejected_at_construction(self):
+        """A misspelt scale-up backend fails before the run, not at the
+        first scale-up (or never, when the fleet never scales)."""
+        with pytest.raises(ValueError, match="unknown backend 'gpuu'.*gpu"):
+            ChaosClusterEngine(["gpu"], autoscaler=Autoscaler(backend="gpuu"))
 
     def test_double_crash_rejected(self):
         schedule = FaultSchedule(faults=(
@@ -786,6 +793,37 @@ class TestDispatchBranchReplay:
         events = repr(report.resilience.events).encode()
         assert (hashlib.sha256(events).hexdigest()
                 == self.EVENTS_SHA256[discipline])
+
+
+class TestWindowSplit:
+    """The degraded and steady p99s, split with one mask per window,
+    equal a per-latency loop over the same windows."""
+
+    @pytest.mark.parametrize("case", ["slowdown", "every-branch"])
+    def test_equals_a_per_latency_loop(self, case, monkeypatch):
+        seen = {}
+        assemble = ChaosClusterEngine._assemble_report
+
+        def recorded(engine, streams, replicas, assigned, latencies, waits,
+                     services, completions, *rest):
+            seen["latencies"], seen["completions"] = latencies, completions
+            return assemble(engine, streams, replicas, assigned, latencies,
+                            waits, services, completions, *rest)
+
+        monkeypatch.setattr(ChaosClusterEngine, "_assemble_report", recorded)
+        report = (TestSlowdown()._run() if case == "slowdown"
+                  else TestDispatchBranchReplay()._run("edf"))
+        res = report.resilience
+        degraded, steady = [], []
+        for lats, dones in zip(seen["latencies"], seen["completions"]):
+            for lat, done in zip(lats, dones):
+                inside = any(w0 <= done <= w1
+                             for w0, w1 in res.degraded_windows)
+                (degraded if inside else steady).append(1e3 * lat)
+        p99 = lambda xs: float(np.percentile(xs, 99.0)) if xs else 0.0
+        assert degraded
+        assert res.degraded_p99_ms == p99(degraded)
+        assert res.steady_p99_ms == p99(steady)
 
 
 # ----------------------------------------------------------------------

@@ -227,11 +227,13 @@ class TestClusterEngine:
 
     def test_duplicate_stream_names_rejected(self):
         """Placement and reports are keyed by name; dupes would
-        silently alias one stream's stats onto the other."""
-        with pytest.raises(ValueError, match="unique.*'cam'"):
-            ClusterEngine(["gpu"]).run(
-                [_stream("cam", n_frames=2), _stream("cam", n_frames=6)]
-            )
+        silently alias one stream's stats onto the other.  The chaos
+        engine runs the same check."""
+        for engine in (ClusterEngine, ChaosClusterEngine):
+            with pytest.raises(ValueError, match="unique.*'cam'"):
+                engine(["gpu"]).run(
+                    [_stream("cam", n_frames=2), _stream("cam", n_frames=6)]
+                )
 
     def test_idle_shard_worst_p99_is_zero(self):
         report = ClusterEngine(["gpu", "gpu", "gpu"]).run(

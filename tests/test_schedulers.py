@@ -12,11 +12,19 @@ import numpy as np
 import pytest
 
 from repro.backends import BackendCapabilities, ExecutionBackend, get_backend
-from repro.cluster import ClusterEngine, DeadlineAwarePolicy, get_policy
+from repro.cluster import (
+    ChaosClusterEngine,
+    ClusterEngine,
+    CrashFault,
+    DeadlineAwarePolicy,
+    FaultSchedule,
+    get_policy,
+)
 from repro.core.keyframe import MotionAdaptivePolicy
 from repro.hw.energy import EnergyBreakdown
 from repro.hw.systolic import LayerResult, RunResult
 from repro.pipeline import (
+    EdfScheduler,
     FrameCoster,
     FrameScheduler,
     FrameStream,
@@ -384,6 +392,87 @@ class TestOverloadedMix:
             rerun = FrameCoster(get_backend("systolic")).serve(
                 _overloaded_mix(), scheduler=name)
             assert rerun == outcome
+
+
+# ----------------------------------------------------------------------
+# the ready-list contract: one arrived head per stream, in seq order
+# ----------------------------------------------------------------------
+class TestReadyListHoldsStreamHeads:
+    """Every event loop hands ``select`` one arrived head per stream,
+    in ``seq`` order, under an overload that queues many frames per
+    stream."""
+
+    NAME = "test-recording-edf"
+
+    @pytest.fixture
+    def recording(self):
+        @register_scheduler(self.NAME)
+        class RecordingEdf(EdfScheduler):
+            name = self.NAME
+
+            def __init__(self):
+                self.serves = [[]]
+
+            def serve(self, streams, coster):
+                self.serves.append([])  # stream indices are per serve
+                return super().serve(streams, coster)
+
+            def select(self, ready, now_s):
+                index = super().select(ready, now_s)
+                self.serves[-1].append((now_s, [
+                    (job.stream_index, job.frame_index, job.seq,
+                     job.arrival_s)
+                    for job in ready
+                ], index))
+                return index
+
+        yield self.NAME
+        from repro.pipeline import schedulers
+        schedulers._REGISTRY.pop(self.NAME)
+
+    @staticmethod
+    def _check(calls):
+        # a frame leaves its stream at the last call that picks it (a
+        # crash can kill a service in flight; the frame is picked again)
+        last_pick = {}
+        for k, (_, ready, index) in enumerate(calls):
+            last_pick[ready[index][:2]] = k
+        for k, (now_s, ready, _) in enumerate(calls):
+            streams = [si for si, _, _, _ in ready]
+            assert len(set(streams)) == len(streams)
+            seqs = [seq for _, _, seq, _ in ready]
+            assert seqs == sorted(seqs)
+            for si, fi, _, arrival_s in ready:
+                assert arrival_s <= now_s
+                # the stream's earliest frame not yet served or dropped
+                assert all(last_pick[(si, f)] < k for f in range(fi))
+                assert last_pick[(si, fi)] >= k
+        return max(len(ready) for _, ready, _ in calls)
+
+    def _check_serves(self, scheduler, offered):
+        calls = [c for serve in scheduler.serves for c in serve]
+        assert len(calls) >= offered
+        widest = max(self._check(serve) for serve in scheduler.serves
+                     if serve)
+        assert widest > 1  # the overload queued several streams at once
+
+    def test_stream_engine(self, recording):
+        engine = StreamEngine("systolic", scheduler=recording)
+        engine.run(_overloaded_mix())
+        self._check_serves(engine.scheduler, 8 * 40)
+
+    def test_cluster_engine(self, recording):
+        engine = ClusterEngine(["systolic", "gpu"], scheduler=recording)
+        engine.run(_overloaded_mix(fps=120.0))
+        self._check_serves(engine.scheduler, 8 * 40)
+
+    def test_chaos_engine_with_a_crash(self, recording):
+        engine = ChaosClusterEngine(
+            ["systolic", "systolic"], scheduler=recording,
+            faults=FaultSchedule(faults=(CrashFault("systolic:1", 0.2),)))
+        report = engine.run(_overloaded_mix(fps=120.0))
+        assert report.resilience.crashes == 1
+        self._check_serves(engine.scheduler, 8 * 40)
 
 
 # ----------------------------------------------------------------------
