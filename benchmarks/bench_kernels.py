@@ -244,9 +244,11 @@ def _bench_aggregation():
     the line-vectorized ``aggregate_path``, one diagonal direction on
     a small volume — the scalar loop would take minutes at qHD), and
     the fused 8-direction :func:`aggregate_volume` vs its
-    per-direction composition (bit-identical by
-    ``tests/test_stereo_matchers.py``; the fused form saves result
-    allocations and shares the plane transpose)."""
+    per-direction composition (the fused form writes no per-direction
+    volume: each sweep folds its finished lines into the total).  The
+    two are asserted byte-equal in
+    float64 and float32 on every run, on a volume larger than the
+    unit pins in ``tests/test_stereo_matchers.py``."""
     h, w = _size_cap((64, 96))
     small = np.random.default_rng(2).random((16, h, w))
     assert np.array_equal(  # apples to apples: same DP, same bits
@@ -261,13 +263,18 @@ def _bench_aggregation():
     h, w = _size_cap((270, 480))
     cost = np.random.default_rng(3).random((min(32, FULL_MAX_DISP), h, w))
 
-    def per_direction():
-        total = np.zeros_like(cost)
+    def per_direction(volume=cost):
+        total = np.zeros_like(volume)
         for dy, dx in _DIRECTIONS_8:
-            total += aggregate_path(cost, dy, dx, 1.0, 8.0)
+            total += aggregate_path(volume, dy, dx, 1.0, 8.0)
         return total
 
-    per_direction()  # warm allocator + pages before timing either form
+    # also warms the allocator and pages before timing either form
+    for volume in (cost, cost.astype(np.float32)):
+        assert (  # same DP, same summation order, same bytes
+            aggregate_volume(volume, 1.0, 8.0, paths=8).tobytes()
+            == per_direction(volume).tobytes()
+        ), f"fused aggregation differs from the composition ({volume.dtype})"
     t_fused = _clock(lambda: aggregate_volume(cost, 1.0, 8.0, paths=8),
                      reps=3)
     t_composed = _clock(per_direction, reps=3)

@@ -21,11 +21,11 @@ result is **bit-identical** to whole-frame execution:
 SGM is the exception that proves the halo rule: its path aggregation
 is a whole-image dynamic program (a vertical path runs top to bottom),
 so *no finite halo* can make independently aggregated bands exact.
-The SGM adapter therefore tiles the cost-volume build by rows and
-parallelises the aggregation across the 2/4/8 path *directions* —
-both embarrassingly parallel — and sums the per-direction volumes in
-the same order :func:`~repro.stereo.sgm.sgm` does, keeping
-bit-identity without approximating the DP.
+The SGM adapter therefore tiles only the cost-volume build by rows
+and aggregates the whole volume in the calling thread with the serial
+:func:`~repro.stereo.sgm.aggregate_volume`, as
+:func:`~repro.stereo.sgm.sgm` does, keeping bit-identity without
+approximating the DP.
 
 Each band job has one shape, whatever the pool.  On a multi-worker
 process pool every input is shared once through
@@ -88,13 +88,19 @@ from repro.parallel.shm import (
 from repro.parallel.tiles import split_rows
 from repro.stereo.block_matching import (
     _check_block_size,
+    _check_finite,
     block_match,
     guided_block_match,
     resolve_precision,
     sad_cost_volume,
 )
 from repro.stereo.census import census_block_match, census_transform
-from repro.stereo.sgm import _DIRECTIONS_8, aggregate_path, wta_disparity
+from repro.stereo.sgm import (
+    _check_penalties,
+    aggregate_path,  # stays only for benchmarks/e2e/spans.py; goes with ROADMAP 1(b)
+    aggregate_volume,
+    wta_disparity,
+)
 
 __all__ = ["TileExecutor", "available_kernels"]
 
@@ -176,30 +182,6 @@ def _run_band(
         if sanitize_enabled():
             claim_region(dest, rows, label=f"{kernel} band")
         np.copyto(dest[rows], part)
-
-
-def _run_direction(
-    cost: np.ndarray | ShmHandle,
-    dy: int,
-    dx: int,
-    p1: float,
-    p2: float,
-    slot: ShmHandle | None = None,
-) -> np.ndarray | None:
-    """One SGM path-direction aggregation.
-
-    Inline and on threads the aggregated volume is returned.  On a
-    process pool ``cost`` names the shared cost volume (every direction
-    job maps the same pages) and the result lands in the caller's
-    ``slot`` segment instead.
-    """
-    with ExitStack() as stack:
-        part = aggregate_path(_operand(stack, cost), dy, dx, p1, p2)
-    if slot is None:
-        return part
-    with attached(slot) as dest:
-        np.copyto(dest, part)
-    return None
 
 
 def _band_output(
@@ -299,14 +281,13 @@ class TileExecutor:
     ) -> Iterator[Any]:
         """Yield ``fn``'s results over argument tuples, in job order.
 
-        Lazy so reducers (the SGM direction sum) can consume one
-        result at a time, and **bounded**: at most ``workers`` jobs
-        are in flight at once.  Eager submission would hold every
-        job's payload alive simultaneously, and the bound is also
-        what lets the SGM fan-out cycle ``workers`` output slots.  The
-        next job is submitted only after the previous result has been
-        *consumed* (the generator is resumed), so a yielded buffer is
-        never overwritten while the caller reads it.
+        Lazy so a caller can consume one result at a time, and
+        **bounded**: at most ``workers`` jobs are in flight at once.
+        Eager submission would hold every job's payload alive
+        simultaneously.  The next job is submitted only after the
+        previous result has been *consumed* (the generator is
+        resumed), so a yielded buffer is never overwritten while the
+        caller reads it.
 
         A worker that dies mid-job breaks the whole process pool: the
         broken pool is shut down without waiting and forgotten before
@@ -344,8 +325,7 @@ class TileExecutor:
         kwargs: dict,
         halo: int,
         row_axis: int = 0,
-        arena: ShmArena | None = None,
-    ) -> Any:
+    ) -> np.ndarray:
         """Run ``kernel`` over one haloed row band per worker into one
         output.
 
@@ -354,30 +334,20 @@ class TileExecutor:
         shared once and the band jobs receive handles, writing into one
         output segment that is copied out once at the end; inline and
         on threads they receive the arrays and write into a
-        preallocated array, which is returned as is.  Passing an
-        ``arena`` asks for the output in the form a later job
-        receives: on a process pool a handle to its segment, owned by
-        the arena (the SGM adapter hands the cost volume to its
-        direction jobs without another copy), otherwise the array
-        itself.
+        preallocated array, which is returned as is.
         """
         arrays = tuple(np.asarray(a) for a in arrays)
         bands = split_rows(arrays[0].shape[0], self.workers, halo)
         if len(bands) == 1:
-            whole = _BAND_KERNELS[kernel](*arrays, **kwargs)
-            if arena is None or not self._shm:
-                return whole
-            handle, view = arena.alloc(whole.shape, whole.dtype)
-            np.copyto(view, whole)
-            return handle
+            return _BAND_KERNELS[kernel](*arrays, **kwargs)
         out_shape, out_dtype = _band_output(kernel, arrays, kwargs)
         with ExitStack() as stack:
             if self._shm:
-                local = arena if arena is not None else stack.enter_context(ShmArena())
+                arena = stack.enter_context(ShmArena())
                 inputs: tuple[np.ndarray | ShmHandle, ...] = tuple(
-                    local.share(a) for a in arrays
+                    arena.share(a) for a in arrays
                 )
-                handle, view = local.alloc(out_shape, out_dtype)
+                handle, view = arena.alloc(out_shape, out_dtype)
                 out: np.ndarray | ShmHandle = handle
             else:
                 inputs = arrays
@@ -395,9 +365,7 @@ class TileExecutor:
             if not self._shm:
                 return view
             for ref in inputs:  # free the input frames early
-                local.release(ref)
-            if arena is not None:
-                return handle
+                arena.release(ref)
             result = view.copy()
             del view
             return result
@@ -497,49 +465,30 @@ class TileExecutor:
     ) -> np.ndarray:
         """Parallel :func:`~repro.stereo.sgm.sgm`.
 
-        The cost volume is built from row bands; the aggregation — a
-        whole-image DP that no finite halo can tile exactly — is
-        parallelised across path directions instead, and the
-        per-direction volumes are summed in :func:`~repro.stereo.sgm.
-        sgm`'s direction order so the result stays bit-identical.
+        The cost volume is built from row bands.  The aggregation is a
+        whole-image DP that no finite halo can tile exactly, so the
+        whole volume is then aggregated in the calling thread by
+        :func:`~repro.stereo.sgm.aggregate_volume`, as
+        :func:`~repro.stereo.sgm.sgm` does: every configuration is
+        bit-identical to it.
 
-        On a process pool the cost volume is built straight into a
-        shared segment; every direction job maps the same pages by
-        name and writes its aggregated volume into one of
-        ``min(workers, paths)`` cycled output slots — the bounded
-        :meth:`_iter_map` guarantees a slot's previous result is
-        consumed before the job that reuses it is submitted.  Inline
-        and on threads each direction job returns its volume.
+        Raises ``ValueError``, before any pool starts, for ``paths``
+        other than 2, 4 or 8, an even ``block_size``, a negative or NaN
+        ``p1`` or ``p2``, and a NaN or infinite pixel.
         """
         if paths not in (2, 4, 8):
             raise ValueError("paths must be 2, 4 or 8")
         _check_block_size(block_size)
-        cost_kwargs = dict(
-            max_disp=max_disp, block_size=block_size, precision=self.precision
+        _check_penalties(p1, p2)
+        _check_finite(left, right)
+        cost = self._tiled(
+            "sad_cost",
+            (left, right),
+            dict(max_disp=max_disp, block_size=block_size, precision=self.precision),
+            halo=block_size // 2,
+            row_axis=1,
         )
-        directions = _DIRECTIONS_8[:paths]
-        with ShmArena() as arena:
-            cost = self._tiled(
-                "sad_cost",
-                (left, right),
-                cost_kwargs,
-                halo=block_size // 2,
-                row_axis=1,
-                arena=arena,
-            )
-            n_slots = min(self.workers, len(directions)) if self._shm else 0
-            slots = [arena.alloc(cost.shape, cost.dtype) for _ in range(n_slots)]
-            total = np.zeros(cost.shape, cost.dtype)
-            jobs = [
-                (cost, dy, dx, p1, p2, slots[i % n_slots][0] if slots else None)
-                for i, (dy, dx) in enumerate(directions)
-            ]
-            # consume lazily, in sgm()'s direction order: bit-identical
-            # summation while holding one aggregated volume at a time
-            for i, part in enumerate(self._iter_map(_run_direction, jobs)):
-                np.add(total, slots[i % n_slots][1] if slots else part, out=total)
-            slots.clear()
-        return wta_disparity(total, subpixel)
+        return wta_disparity(aggregate_volume(cost, p1, p2, paths), subpixel)
 
     # ------------------------------------------------------------------
     # the non-key flow kernels: whole-frame, at the executor's precision

@@ -1,10 +1,10 @@
 """Shared-memory transport for tiled kernel jobs.
 
 Process-pool band jobs never receive arrays through the pool's pipes
-(for the SGM direction fan-out that would serialise the full
-``(D, H, W)`` cost volume once per direction).  They are handed an
-:class:`ShmHandle` (name + shape + dtype — a few hundred bytes) of a
-named POSIX shared-memory segment and map the pages the parent wrote.
+(a cost-volume band would serialise its ``(D, rows, W)`` slice back
+through them).  They are handed an :class:`ShmHandle` (name + shape +
+dtype — a few hundred bytes) of a named POSIX shared-memory segment
+and map the pages the parent wrote.
 
 Lifecycle: the parent side owns every segment through an
 :class:`ShmArena` — it creates, unlinks, and closes them, and a
@@ -123,8 +123,7 @@ def _close_quietly(seg: shared_memory.SharedMemory) -> None:
 # target region by asserting it is still all-NaN before writing, and
 # the parent asserts full coverage (no sentinel left) after the last
 # job.  Claimed-before-write + fully-covered-after == the bands
-# partition the output.  The SGM direction fan-out is exempt by design: its jobs
-# rewrite whole cycled slots, serialised by the bounded ``_iter_map``.
+# partition the output.
 
 
 def sanitize_enabled() -> bool:
@@ -201,8 +200,8 @@ class ShmArena:
     ``share`` copies an existing array into a fresh segment; ``alloc``
     creates an uninitialised output segment the parent can read back
     through the returned view.  ``release`` drops one segment early
-    (the SGM fan-out frees each direction's output as soon as it is
-    summed); ``close`` — also run by the context manager and by a
+    (the band tiler frees the input frames once every band has run);
+    ``close`` — also run by the context manager and by a
     ``weakref.finalize`` if the arena is dropped without it — unlinks
     everything that remains.
 

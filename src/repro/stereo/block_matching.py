@@ -62,6 +62,13 @@ def _check_block_size(block_size: int) -> None:
         raise ValueError(f"block_size must be odd and >= 1, got {block_size!r}")
 
 
+def _check_finite(*images: np.ndarray) -> None:
+    """Refuse an image holding a NaN or infinite pixel."""
+    for img in images:
+        if not np.isfinite(img).all():
+            raise ValueError("images must be finite; got a NaN or infinite pixel")
+
+
 def _as_float(img: np.ndarray, dtype=np.float64) -> np.ndarray:
     img = np.asarray(img, dtype=dtype)
     if img.ndim == 3:  # collapse colour to luminance

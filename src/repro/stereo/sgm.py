@@ -13,26 +13,37 @@ paper's "HH" (accurate) configuration and the 4-path variant for
 "SGBN" (the OpenCV-style semi-global block matcher).
 
 The aggregation is the dominant serial cost of the whole kernel
-substrate, so it is written as **contiguous in-place sweeps**: the DP
-steps line by line along the path direction, each step operating on a
-whole ``(D, N)`` line of independent paths with preallocated scratch
-buffers — no per-pixel Python, no per-step allocation, no strided
-``moveaxis`` walks.  Lines are sliced so their last axis is contiguous
-(the volume is plane-transposed once for the two horizontal
-directions), which is where the speedup over the old per-column loop
-comes from.  The arithmetic is **bit-identical** to the scalar
-reference DP (pinned for all 8 directions in
-``tests/test_stereo_matchers.py``): every elementwise term is the same
-IEEE operation in the same grouping, and the neighbour trick
-``min(a, b) + P1 == min(a + P1, b + P1)`` is exact because float
-addition of a shared constant is monotone.
+substrate, so each direction is a **line sweep that keeps two line
+buffers**: the DP steps line by line along the path direction, each
+step operating on a whole ``(D, N)`` line of independent paths, and
+each finished line is added into the running total while it is still
+in cache.  No per-direction volume is written or read back, so the
+peak memory is the cost volume, its plane-transposed copy (whose
+lines are contiguous for the horizontal directions) and one total.
+
+The arithmetic is **bit-identical** to the scalar reference DP (pinned
+for all 8 directions in ``tests/test_stereo_matchers.py``): every
+elementwise term is the same IEEE operation in the same grouping, and
+every element of the total receives its direction terms in
+``_DIRECTIONS_8`` order (float addition does not reassociate, so the
+sweeps fold one direction at a time).  Two exact facts carry the fast
+parts:
+
+* the neighbour trick ``min(a, b) + P1 == min(a + P1, b + P1)`` holds
+  bit for bit because adding a shared constant is monotone;
+* **restarts by zero padding** — each line buffer starts zero and,
+  for the diagonal directions, has a zero column on either side, so a
+  path entering at the border reads a zero predecessor: ``floor = 0``
+  and ``best = min(0, P1, P2) = 0`` for ``P1, P2 >= 0``, hence
+  ``L = C + 0 = C`` exactly (for any cost but ``-0.0``, which a SAD
+  cost never is).  This is why the penalties must be non-negative.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.stereo.block_matching import _subpixel_refine, sad_cost_volume
+from repro.stereo.block_matching import _check_finite, _subpixel_refine, sad_cost_volume
 
 __all__ = [
     "aggregate_path",
@@ -48,16 +59,22 @@ _DIRECTIONS_8 = [
 ]
 
 
+def _check_penalties(p1: float, p2: float) -> None:
+    """Zero-padded restarts are exact only for ``P1, P2 >= 0``."""
+    if not (p1 >= 0 and p2 >= 0):  # also refuses NaN
+        raise ValueError(f"p1 and p2 must be >= 0, got p1={p1!r}, p2={p2!r}")
+
+
 def _line_step(prev, cost_line, out_line, nm, floor, cap, p1, p2):
     """One DP step for a whole ``(D, n)`` line of independent paths.
 
     Writes ``cost_line + (best - floor)`` into ``out_line`` where
     ``best = min(prev[d], prev[d-1]+P1, prev[d+1]+P1, floor+P2)``.
-    ``nm`` / ``floor`` / ``cap`` are caller-owned scratch buffers
-    sliced to the line width, reused across every step of a sweep.
+    ``nm`` / ``floor`` / ``cap`` are caller-owned scratch buffers of
+    the line width, reused across every step of a sweep.
     """
     d = prev.shape[0]
-    np.min(prev, axis=0, keepdims=True, out=floor)
+    np.minimum.reduce(prev, axis=0, keepdims=True, out=floor)
     if d > 1:
         # min(prev[d-1], prev[d+1]) + P1 == min(prev[d-1]+P1, prev[d+1]+P1)
         # exactly: rounding a shared-constant add is monotone, so the
@@ -76,73 +93,57 @@ def _line_step(prev, cost_line, out_line, nm, floor, cap, p1, p2):
     np.add(cost_line, nm, out=out_line)
 
 
-def _sweep(cost, out, p1, p2, shift=0, reverse=False, accum=None):
-    """Aggregate a ``(D, L, N)`` volume along axis 1, into ``out``.
+def _fold_path(cost, total, p1, p2, shift=0, reverse=False):
+    """Add one direction's path costs into ``total``, line by line.
 
-    Line ``i`` takes its predecessor from line ``i-1`` (``i+1`` when
-    ``reverse``), displaced ``shift`` positions along the last axis;
-    positions whose displaced predecessor falls outside the line
-    restart the path (``L_r = C``), as does the first line.  Both
-    volumes must be sliced so the last axis is contiguous.
-
-    When ``accum`` is given, each finished line is added into the
-    matching line of ``accum`` while it is still cache-hot — one fused
-    pass instead of a separate whole-volume ``total += out`` later.
+    ``cost`` and ``total`` are ``(D, L, N)`` volumes swept along axis 1
+    (from the last line when ``reverse``); each line takes its
+    predecessor from the line before it in the sweep, displaced
+    ``shift`` positions along the last axis.  Two line buffers in the
+    cost's dtype alternate, each with ``|shift|`` zero columns on
+    either side and zero to start with, so the first line and every
+    position whose predecessor falls outside the line restart the path
+    (``L = C``, see the module docstring).  Each finished line is
+    added into the same line of ``total`` while it is hot.
     """
     d_levels, length, n = cost.shape
-    nm = np.empty((d_levels, n), dtype=cost.dtype)
-    floor = np.empty((1, n), dtype=cost.dtype)
-    cap = np.empty((1, n), dtype=cost.dtype)
-    order = range(length) if not reverse else range(length - 1, -1, -1)
-    first = True
-    for i in order:
-        line_out = out[:, i, :]
-        if first:
-            line_out[...] = cost[:, i, :]
-            first = False
-        else:
-            prev = out[:, i + (1 if reverse else -1), :]
-            cur_cost = cost[:, i, :]
-            cur_out = line_out
-            if shift > 0:
-                cur_out[:, :shift] = cur_cost[:, :shift]  # path restarts
-                prev, cur_cost, cur_out = (
-                    prev[:, : n - shift], cur_cost[:, shift:], cur_out[:, shift:]
-                )
-            elif shift < 0:
-                cur_out[:, n + shift:] = cur_cost[:, n + shift:]
-                prev, cur_cost, cur_out = (
-                    prev[:, -shift:], cur_cost[:, : n + shift], cur_out[:, : n + shift]
-                )
-            width = cur_cost.shape[1]
-            if width:  # |shift| >= line width: every path restarts
-                _line_step(
-                    prev, cur_cost, cur_out,
-                    nm[:, :width], floor[:, :width], cap[:, :width], p1, p2,
-                )
-        if accum is not None:
-            acc = accum[:, i, :]
-            np.add(acc, line_out, out=acc)
+    pad = abs(shift)
+    bufs = [np.zeros((d_levels, n + 2 * pad), cost.dtype) for _ in range(2)]
+    lines = [b[:, pad:pad + n] for b in bufs]
+    preds = [b[:, pad - shift:pad - shift + n] for b in bufs]
+    nm = np.empty((d_levels, n), cost.dtype)
+    floor = np.empty((1, n), cost.dtype)
+    cap = np.empty_like(floor)
+    order = range(length - 1, -1, -1) if reverse else range(length)
+    for step, i in enumerate(order):
+        line = lines[step & 1]
+        _line_step(preds[(step + 1) & 1], cost[:, i], line, nm, floor, cap, p1, p2)
+        acc = total[:, i]
+        np.add(acc, line, out=acc)
 
 
 def aggregate_path(cost: np.ndarray, dy: int, dx: int, p1: float, p2: float) -> np.ndarray:
     """Aggregate a (D, H, W) cost volume along one path direction.
 
-    Vertical and diagonal directions sweep the volume in its native
-    ``(D, H, W)`` layout (lines are contiguous image rows); the two
-    horizontal directions sweep a plane-transposed ``(D, W, H)`` copy
-    so their lines are contiguous too, and return a transposed *view*
-    of the aggregated volume (same values, non-contiguous strides).
+    The one-direction case of :func:`aggregate_volume`'s sweep, folded
+    into a zero volume (``0 + L == L``).  Vertical and diagonal
+    directions sweep the volume in its native ``(D, H, W)`` layout
+    (lines are contiguous image rows); the two horizontal directions
+    sweep a plane-transposed ``(D, W, H)`` copy so their lines are
+    contiguous too, and return a transposed *view* of the aggregated
+    volume (same values, non-contiguous strides).  Raises
+    ``ValueError`` for a negative or NaN ``p1`` or ``p2``.
     """
+    _check_penalties(p1, p2)
     cost = np.ascontiguousarray(cost)
     if dy == 0:
         cost_t = np.ascontiguousarray(cost.transpose(0, 2, 1))
-        out_t = np.empty_like(cost_t)
-        _sweep(cost_t, out_t, p1, p2, shift=0, reverse=dx < 0)
-        return out_t.transpose(0, 2, 1)
-    out = np.empty_like(cost)
-    _sweep(cost, out, p1, p2, shift=dx, reverse=dy < 0)
-    return out
+        total_t = np.zeros_like(cost_t)
+        _fold_path(cost_t, total_t, p1, p2, reverse=dx < 0)
+        return total_t.transpose(0, 2, 1)
+    total = np.zeros_like(cost)
+    _fold_path(cost, total, p1, p2, shift=dx, reverse=dy < 0)
+    return total
 
 
 def aggregate_volume(
@@ -151,46 +152,50 @@ def aggregate_volume(
     """Sum of :func:`aggregate_path` over the first ``paths`` directions.
 
     Bit-identical to accumulating the per-direction volumes into a
-    zero total in ``_DIRECTIONS_8`` order (what the direction-parallel
-    adapter in :mod:`repro.parallel` does), but ~2x faster serially:
-    one plane-transposed copy serves both horizontal sweeps, and the
-    sweep output buffers are reused across directions instead of
-    being freshly allocated (and page-faulted) eight times.
+    zero total in ``_DIRECTIONS_8`` order, without writing any
+    per-direction volume: each direction's sweep folds its finished
+    lines into the total while they are hot.  The two horizontal
+    directions sweep a plane-transposed copy, whose pages then become
+    the native total.  Raises ``ValueError`` for ``paths`` other than
+    2, 4 or 8 and for a negative or NaN ``p1`` or ``p2``; the input
+    volume is never modified.
+
+    >>> cost = np.random.default_rng(0).uniform(size=(4, 5, 7))
+    >>> composed = sum(
+    ...     aggregate_path(cost, dy, dx, 0.05, 0.5) for dy, dx in _DIRECTIONS_8
+    ... )
+    >>> aggregate_volume(cost, 0.05, 0.5).tobytes() == composed.tobytes()
+    True
+    >>> aggregate_volume(cost, -0.1, 0.5)
+    Traceback (most recent call last):
+        ...
+    ValueError: p1 and p2 must be >= 0, got p1=-0.1, p2=0.5
     """
     if paths not in (2, 4, 8):
         raise ValueError("paths must be 2, 4 or 8")
+    _check_penalties(p1, p2)
     cost = np.ascontiguousarray(cost)
     d_levels, h, w = cost.shape
-    # the two horizontal directions: one (D, W, H) copy; the forward
-    # sweep's output doubles as the running total (a volume of
-    # non-negative values is bitwise equal to 0 + itself), the
-    # backward sweep accumulates into it line by line while hot.
     # .copy() rather than ascontiguousarray: a size-1 plane makes the
-    # transpose *view* already contiguous, and the buffer reuse below
-    # must never alias the cost volume it is swept against
+    # transpose *view* already contiguous, and its pages become the
+    # total below, which must never alias the caller's volume
     cost_t = cost.transpose(0, 2, 1).copy()
-    total_t = np.empty_like(cost_t)
-    out_t = np.empty_like(cost_t)
-    _sweep(cost_t, total_t, p1, p2, shift=0, reverse=False)
-    _sweep(cost_t, out_t, p1, p2, shift=0, reverse=True, accum=total_t)
-    # transpose the horizontal total back into native layout, reusing
-    # out_t's already-faulted pages as the destination
-    total = out_t.reshape(d_levels, h, w)
+    total_t = np.zeros_like(cost_t)
+    _fold_path(cost_t, total_t, p1, p2)
+    _fold_path(cost_t, total_t, p1, p2, reverse=True)
+    total = cost_t.reshape(d_levels, h, w)
     np.copyto(total, total_t.transpose(0, 2, 1))
-    if paths > 2:
-        # cost_t's pages become the vertical/diagonal sweep scratch
-        out = cost_t.reshape(d_levels, h, w)
-        for dy, dx in _DIRECTIONS_8[2:paths]:
-            _sweep(cost, out, p1, p2, shift=dx, reverse=dy < 0, accum=total)
+    for dy, dx in _DIRECTIONS_8[2:paths]:
+        _fold_path(cost, total, p1, p2, shift=dx, reverse=dy < 0)
     return total
 
 
 def wta_disparity(total: np.ndarray, subpixel: bool = True) -> np.ndarray:
     """Winner-takes-all (+ sub-pixel fit) over an aggregated volume.
 
-    Shared by :func:`sgm` and the direction-parallel SGM adapter in
-    :mod:`repro.parallel`, so both select from the summed volume with
-    the exact same arithmetic.
+    Shared by :func:`sgm` and
+    :meth:`repro.parallel.executor.TileExecutor.sgm`, so both select
+    from the summed volume with the exact same arithmetic.
     """
     disp = total.argmin(axis=0).astype(np.float64)
     if subpixel:
@@ -209,9 +214,16 @@ def sgm(
     subpixel: bool = True,
     precision: str = "float64",
 ) -> np.ndarray:
-    """Semi-global matching disparity for the left image."""
+    """Semi-global matching disparity for the left image.
+
+    Raises ``ValueError`` for ``paths`` other than 2, 4 or 8, for a
+    negative or NaN ``p1`` or ``p2``, and for a NaN or infinite pixel
+    (whose cost would otherwise be smoothed into a finite disparity).
+    """
     if paths not in (2, 4, 8):
         raise ValueError("paths must be 2, 4 or 8")
+    _check_penalties(p1, p2)
+    _check_finite(left, right)
     cost = sad_cost_volume(left, right, max_disp, block_size, precision)
     total = aggregate_volume(cost, p1, p2, paths)
     return wta_disparity(total, subpixel)

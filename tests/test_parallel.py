@@ -33,7 +33,7 @@ from repro.flow import (
 from repro.flow import farneback as farneback_module
 from repro.parallel import TileExecutor, available_kernels, shm_available, split_rows
 from repro.parallel import executor as executor_module
-from repro.pipeline import QualityProbe, sceneflow_stream
+from repro.pipeline import QualityProbe, kitti_stream, sceneflow_stream
 from repro.stereo import (
     block_match,
     census_block_match,
@@ -178,6 +178,25 @@ class TestExecutorValidation:
                     call()
             assert ex._pool is None  # refused before any pool or shm work
 
+    @pytest.mark.parametrize("pool", _POOL_PARAMS)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sgm_bad_penalty_or_pixel_rejected(self, frame, pool, workers):
+        # a negative or NaN penalty breaks the zero-padded restarts, and
+        # a NaN pixel used to come back as an all-finite map; both raise
+        # before any pool or shm work, inline and on every pool
+        broken = frame.left.copy()
+        broken[:, 7] = np.nan
+        with TileExecutor(workers=workers, pool=pool) as ex:
+            for call, match in (
+                (lambda: ex.sgm(frame.left, frame.right, 8, p1=-0.1), "p1 and p2"),
+                (lambda: ex.sgm(frame.left, frame.right, 8, p2=np.nan), "p1 and p2"),
+                (lambda: ex.sgm(broken, frame.right, 8), "finite"),
+                (lambda: ex.sgm(frame.left, broken, 8), "finite"),
+            ):
+                with pytest.raises(ValueError, match=match):
+                    call()
+            assert ex._pool is None
+
 
 def test_kernels_do_not_import_the_executor():
     """The stereo and flow kernels sit below `repro.parallel`: importing
@@ -277,6 +296,50 @@ class TestSeamEquivalence:
             )
 
 
+class TestSGMAggregationPaths:
+    """Every worker count bands the cost volume and aggregates it with
+    the fused ``aggregate_volume``; each configuration equals serial
+    ``sgm`` byte for byte on a street scene, in both precisions."""
+
+    @pytest.fixture(scope="class")
+    def street(self):
+        return next(
+            kitti_stream(seed=3, size=(48, 160), n_frames=1, max_disp=24).frames()
+        )
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("paths", [2, 4, 8])
+    def test_every_executor_path_matches_sgm(self, street, precision, paths):
+        want = sgm(street.left, street.right, 24, paths=paths, precision=precision)
+        configs = [(1, "thread"), (2, "thread")]
+        if shm_available():
+            configs.append((2, "process"))
+        for workers, pool in configs:
+            with TileExecutor(workers=workers, pool=pool, precision=precision) as ex:
+                got = ex.sgm(street.left, street.right, 24, paths=paths)
+            assert got.tobytes() == want.tobytes(), (workers, pool)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_worker_count_runs_the_fused_kernel(
+        self, frame, references, monkeypatch, workers
+    ):
+        # looked up on the executor module, so a tracer can wrap it
+        calls = []
+        fused = executor_module.aggregate_volume
+        monkeypatch.setattr(
+            executor_module, "aggregate_volume",
+            lambda *a, **kw: calls.append("fused") or fused(*a, **kw),
+        )
+        monkeypatch.setattr(
+            executor_module, "aggregate_path",
+            lambda *a, **kw: pytest.fail("sgm aggregated direction by direction"),
+        )
+        with TileExecutor(workers=workers, pool="thread") as ex:
+            got = ex.sgm(frame.left, frame.right, MAX_DISP, paths=8)
+        assert calls == ["fused"]
+        assert np.array_equal(got, references["sgm"])
+
+
 class _StubPool:
     """Records the peak number of in-flight (submitted, unconsumed)
     futures; results resolve synchronously."""
@@ -348,7 +411,6 @@ class TestSharedMemoryTransport:
     @pytest.mark.parametrize("name", available_kernels())
     @pytest.mark.parametrize("workers", [8, 4, 2])
     def test_seams_identical(self, frame, references, name, workers):
-        # sgm with fewer workers than its 8 paths cycles the shm slots
         with TileExecutor(workers=workers, pool="process") as ex:
             assert np.array_equal(_tiled(ex, name, frame), references[name])
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import sceneflow_scene
+from repro.pipeline import kitti_stream
 from repro.stereo import (
     block_match,
     elas,
@@ -295,6 +296,9 @@ def _reference_aggregate(cost, dy, dx, p1, p2):
     demand bit-identity, not closeness.
     """
     d_levels, h, w = cost.shape
+    # penalties in the volume's dtype, as the sweep's array-scalar adds
+    # compute them, whatever NumPy's scalar promotion rules
+    p1, p2 = cost.dtype.type(p1), cost.dtype.type(p2)
     out = np.empty_like(cost)
     ys = range(h) if dy >= 0 else range(h - 1, -1, -1)
     xs = range(w) if dx >= 0 else range(w - 1, -1, -1)
@@ -393,6 +397,106 @@ class TestAggregatePathGolden:
                 aggregate_volume(volume, self.P1, self.P2, paths), want
             )
         assert np.array_equal(volume, before)  # inputs never mutated
+
+
+def _kitti_sad_volume(precision):
+    """A 24x48x160 SAD volume from the street scenes ``key-sgm`` serves,
+    ``_BIG`` right-edge costs included."""
+    f = next(kitti_stream(seed=3, size=(48, 160), n_frames=1, max_disp=24).frames())
+    return sad_cost_volume(f.left, f.right, 24, 5, precision)
+
+
+class TestFusedSweepPins:
+    """The fused sweep beyond the 5x6x7 uniform volumes, byte for byte:
+    real SAD volumes in both precisions, and float32 volumes of every
+    width from 1 to 11, where a diagonal sweep's zero-padded restart
+    columns are a large share of each line (at width 1 every diagonal
+    path restarts on every line)."""
+
+    P1, P2 = 0.05, 0.5
+
+    @pytest.fixture(scope="class", params=["float64", "float32"])
+    def sad(self, request):
+        return _kitti_sad_volume(request.param)
+
+    @pytest.mark.parametrize("paths", [2, 4, 8])
+    def test_sad_volume_matches_per_direction_sum(self, sad, paths):
+        before = sad.copy()
+        want = np.zeros_like(sad)
+        for dy, dx in _DIRECTIONS_8[:paths]:
+            want += aggregate_path(sad, dy, dx, self.P1, self.P2)
+        got = aggregate_volume(sad, self.P1, self.P2, paths)
+        assert got.dtype == sad.dtype  # buffers never promote
+        assert got.tobytes() == want.tobytes()
+        assert sad.tobytes() == before.tobytes()  # input never mutated
+
+    def test_sad_crop_pinned_to_scalar_reference(self, sad):
+        # a crop holding the right edge's _BIG costs, small enough for
+        # the scalar DP
+        volume = sad[:, 20:30, -32:].copy()
+        want = np.zeros_like(volume)
+        for dy, dx in _DIRECTIONS_8:
+            ref = _reference_aggregate(volume, dy, dx, self.P1, self.P2)
+            got = aggregate_path(volume, dy, dx, self.P1, self.P2)
+            assert got.tobytes() == ref.tobytes(), (dy, dx)
+            want += ref
+        got = aggregate_volume(volume, self.P1, self.P2, 8)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", range(1, 12))
+    def test_float32_widths_pinned(self, width):
+        rng = np.random.default_rng(width)
+        volume = rng.uniform(size=(4, 5, width)).astype(np.float32)
+        before = volume.copy()
+        want = np.zeros_like(volume)
+        for paths, (dy, dx) in enumerate(_DIRECTIONS_8, start=1):
+            ref = _reference_aggregate(volume, dy, dx, self.P1, self.P2)
+            assert aggregate_path(volume, dy, dx, self.P1, self.P2).tobytes() == (
+                ref.tobytes()
+            ), (dy, dx)
+            want += ref
+            if paths in (2, 4, 8):
+                got = aggregate_volume(volume, self.P1, self.P2, paths)
+                assert got.tobytes() == want.tobytes(), paths
+        assert volume.tobytes() == before.tobytes()
+
+    def test_zero_penalties_pinned(self):
+        # the smallest penalties the zero-padded restarts allow
+        volume = np.random.default_rng(4).uniform(size=(5, 6, 7))
+        want = np.zeros_like(volume)
+        for dy, dx in _DIRECTIONS_8:
+            ref = _reference_aggregate(volume, dy, dx, 0.0, 0.0)
+            assert np.array_equal(aggregate_path(volume, dy, dx, 0.0, 0.0), ref)
+            want += ref
+        assert np.array_equal(aggregate_volume(volume, 0.0, 0.0), want)
+
+
+class TestSGMFailsClosed:
+    @pytest.mark.parametrize(
+        "p1,p2", [(-0.1, 0.5), (0.05, -1.0), (np.nan, 0.5), (0.05, np.nan)]
+    )
+    def test_negative_or_nan_penalty_raises(self, p1, p2):
+        # padded restarts are exact only for P1, P2 >= 0
+        left, right = synthetic_pair(d=2, size=(12, 20))
+        volume = np.random.default_rng(0).uniform(size=(4, 5, 6))
+        for call in (
+            lambda: sgm(left, right, 4, p1=p1, p2=p2),
+            lambda: aggregate_path(volume, 1, 1, p1, p2),
+            lambda: aggregate_volume(volume, p1, p2),
+        ):
+            with pytest.raises(ValueError, match="p1 and p2 must be >= 0"):
+                call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_raises(self, bad):
+        # regression: a NaN column used to come back as an all-finite
+        # map whose every disparity was 0.0
+        left, right = synthetic_pair(d=2, size=(32, 48))
+        broken = left.copy()
+        broken[:, 7] = bad
+        for pair in ((broken, right), (left, broken)):
+            with pytest.raises(ValueError, match="finite"):
+                sgm(*pair, 8)
 
 
 class TestSGM:

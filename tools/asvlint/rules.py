@@ -505,9 +505,9 @@ class BoundedSubmissionRule(Rule):
     """ASV005: pool submission loops keep a bounded in-flight set.
 
     ``.submit()`` inside a ``for`` loop or comprehension fans out one
-    future per item *eagerly* — for the SGM direction fan-out that was
-    8 simultaneously pickled cost volumes.  Submission loops must be
-    bounded the way ``TileExecutor._iter_map`` is: prime at most
+    future per item *eagerly*, holding every job's payload alive at
+    once.  Submission loops must be bounded the way
+    ``TileExecutor._iter_map`` is: prime at most
     ``workers`` futures through ``islice``, then submit one job per
     consumed result.  (A ``while`` that submits after consuming is the
     second half of that pattern and is allowed.)
