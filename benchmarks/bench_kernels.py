@@ -59,7 +59,7 @@ from repro.flow import (
 )
 from repro.nn.ops import deconvnd
 from repro.parallel import TileExecutor
-from repro.stereo import block_match, guided_block_match, sgm
+from repro.stereo import block_match, guided_block_match, median2d, sgm
 from repro.stereo import block_matching as bm_mod
 from repro.stereo.sgm import _DIRECTIONS_8, aggregate_path, aggregate_volume
 from repro.tables import render_table
@@ -468,6 +468,28 @@ def _tap_flow_iteration(A1, b1, A2, b2, flow, window_sigma=4.0):
     return new
 
 
+def _tap_planes(A, b):
+    """``(A, b)`` maps as the ``(5, h, w)`` planes a
+    :class:`FrameExpansion` stores."""
+    return np.stack([A[..., 0, 0], A[..., 0, 1], A[..., 1, 1], b[..., 0], b[..., 1]])
+
+
+def _tap_coeffs(planes):
+    """``(5, h, w)`` planes back as ``(A, b)`` maps."""
+    a00, a01, a11, b0, b1 = planes
+    A = np.stack([np.stack([a00, a01], -1), np.stack([a01, a11], -1)], -2)
+    return A, np.stack([b0, b1], -1)
+
+
+def _tap_step(p1, p2, flow, window_sigma=4.0):
+    """:func:`_tap_flow_iteration` behind the packed ``step`` hook of
+    :func:`flow_from_expansions`: planes and a ``(2, h, w)`` flow."""
+    new = _tap_flow_iteration(
+        *_tap_coeffs(p1), *_tap_coeffs(p2), np.moveaxis(flow, 0, -1), window_sigma
+    )
+    return np.moveaxis(new, -1, 0)
+
+
 class _TapFlow:
     """The pre-vectorization flow stack behind the ``flow=`` duck
     interface, so a whole ISM can run on the "before" kernels."""
@@ -483,15 +505,14 @@ class _TapFlow:
                 break
             pyramid.append(downsample2(pyramid[-1]))
         return FrameExpansion(
-            coeffs=tuple(_tap_poly_expansion(p, sigma) for p in pyramid),
-            shapes=tuple(p.shape for p in pyramid),
+            planes=tuple(_tap_planes(*_tap_poly_expansion(p, sigma)) for p in pyramid),
             levels=levels, sigma=sigma, radius=radius, precision=precision,
         )
 
     @staticmethod
     def flow_from_expansions(exp0, exp1, iterations=3, window_sigma=4.0):
         return flow_from_expansions(
-            exp0, exp1, iterations, window_sigma, step=_tap_flow_iteration
+            exp0, exp1, iterations, window_sigma, step=_tap_step
         )
 
 
@@ -638,7 +659,8 @@ def test_nonkey_path_before_after(save_table):
     """Before/after for every non-key kernel + the served ISM step.
 
     Always asserted, any machine: the batched guided search is
-    bit-identical to the per-offset loop, the cached ISM serves
+    bit-identical to the per-offset loop, ``median2d``'s size-3
+    selection to scipy's rank filter, the cached ISM serves
     bit-identical disparities to the uncached one, the tiled ISM
     serves the serial one's, and the per-pixel scalar flow baseline
     agrees with the kernel.  The wall-clock gates (vectorized flow
@@ -691,6 +713,10 @@ def test_nonkey_path_before_after(save_table):
     assert np.array_equal(loop, batched), (
         "batched guided_block_match must be bit-identical to the loop"
     )
+    # the size-3 selection behind median_clean, on the served map
+    assert median2d(batched, 3, "nearest").tobytes() == ndimage.median_filter(
+        batched, size=3, mode="nearest"
+    ).tobytes(), "median2d(size=3) must be bit-identical to scipy"
     t_loop_guided = _clock(
         lambda: _loop_guided(fr.left, fr.right, fr.disparity), reps=2
     )

@@ -24,7 +24,7 @@ import numpy as np
 from repro.datasets.scenes import StereoFrame
 from repro.flow import farneback as _farneback
 from repro.flow.farneback import FrameExpansion
-from repro.flow.warp import _grid, bilinear_sample, forward_warp_disparity
+from repro.flow.warp import _grid, forward_warp_disparity
 from repro.stereo.block_matching import guided_block_match
 from repro.stereo.refine import fill_background, median2d, median_clean
 
@@ -43,10 +43,12 @@ class ExpansionCache:
     :func:`propagate_correspondences` calls.
 
     Frame ``t``'s expansion pyramid serves both the ``(t-1, t)`` and
-    the ``(t, t+1)`` flow computations; caching it halves the
-    steady-state expansion cost of the ISM non-key path with
-    bit-identical results (the expansion depends only on the frame and
-    the flow parameters).  The cache is owned by whoever owns the
+    the ``(t, t+1)`` flow computations; caching it saves one expansion
+    per stream on every non-key frame but the first after a key frame,
+    with bit-identical results (the expansion depends only on the
+    frame and the flow parameters).  At PW-4 a non-key frame costs
+    2.67 expansions on average instead of 4 (the first pays all four,
+    the next two pay two each).  The cache is owned by whoever owns the
     frame sequence — :class:`repro.core.ism.ISM` carries one and
     clears it on :meth:`~repro.core.ism.ISM.reset` and on every key
     frame (a key frame breaks the consecutive-frame chain the cached
@@ -85,15 +87,35 @@ def compose_flows(first: np.ndarray, then: np.ndarray) -> np.ndarray:
     key-frame correspondences (the trusted DNN output) can always be
     propagated directly, instead of re-propagating already-refined
     estimates and compounding their noise.
+
+    ``then`` is sampled bilinearly with edge clamping, as
+    :func:`~repro.flow.warp.bilinear_sample` does, but both components
+    are gathered in one pass through shared flat indices.  The
+    arithmetic runs in float64 and the result is cast into ``first``'s
+    dtype: (H, W, 2), a view of channel-first storage like the flows
+    :func:`~repro.flow.farneback.flow_from_expansions` returns.
     """
     h, w = first.shape[:2]
     yy, xx = _grid(h, w, np.float64)
-    my = yy + first[..., 0]
-    mx = xx + first[..., 1]
-    out = np.empty_like(first)
-    out[..., 0] = first[..., 0] + bilinear_sample(then[..., 0], my, mx)
-    out[..., 1] = first[..., 1] + bilinear_sample(then[..., 1], my, mx)
-    return out
+    my = np.clip(yy + first[..., 0], 0, h - 1)
+    mx = np.clip(xx + first[..., 1], 0, w - 1)
+    # clipped non-negative, so truncation is the floor in one pass
+    y0 = my.astype(np.intp)
+    x0 = mx.astype(np.intp)
+    fy = my - y0
+    fx = mx - x0
+    x1 = np.minimum(x0 + 1, w - 1)
+    r0 = y0
+    r0 *= w                               # flat index of row y0
+    r1 = np.minimum(r0 + w, (h - 1) * w)  # ... and of row min(y0+1, h-1)
+    src = np.moveaxis(then, -1, 0).reshape(2, h * w)
+    omx = 1 - fx
+    top = np.take(src, r0 + x0, axis=1) * omx + np.take(src, r0 + x1, axis=1) * fx
+    bot = np.take(src, r1 + x0, axis=1) * omx + np.take(src, r1 + x1, axis=1) * fx
+    sampled = top * (1 - fy) + bot * fy
+    out = np.empty((2, h, w), first.dtype)
+    np.add(np.moveaxis(first, -1, 0), sampled, out=out)
+    return np.moveaxis(out, 0, -1)
 
 
 def propagate_correspondences(
@@ -138,6 +160,9 @@ def propagate_correspondences(
     Returns ``(propagated_disparity, known_mask, accumulated_flows)``
     where ``accumulated_flows`` is the ``(left, right)`` motion from
     the key frame to ``cur``, to be passed back in on the next call.
+    Each flow is (H, W, 2), a view of channel-first storage (the
+    layout :func:`~repro.flow.farneback.flow_from_expansions` returns),
+    so its strides differ from a freshly allocated array's.
     """
     kw = dict(levels=3, iterations=2, window_sigma=2.5)
     if flow_kwargs:
@@ -192,8 +217,9 @@ def propagate_correspondences(
                       flow_r[..., 0], flow_r[..., 1]]),
             median_size,
         )
-        flow_l[..., 0], flow_l[..., 1] = comps[0], comps[1]
-        flow_r[..., 0], flow_r[..., 1] = comps[2], comps[3]
+        # (H, W, 2) views of the filtered planes, as the flows came in
+        flow_l = np.moveaxis(comps[:2], 0, -1)
+        flow_r = np.moveaxis(comps[2:], 0, -1)
     if accumulated is not None:
         flow_l = compose_flows(accumulated[0], flow_l)
         flow_r = compose_flows(accumulated[1], flow_r)

@@ -22,7 +22,7 @@ from repro.core.correspondence import (
 from repro.core.keyframe import StaticKeyFramePolicy
 from repro.datasets.scenes import StereoFrame
 from repro.flow.farneback import farneback_ops
-from repro.stereo.block_matching import guided_block_match_ops
+from repro.stereo.block_matching import _check_pair, guided_block_match_ops
 
 __all__ = [
     "ISMConfig",
@@ -142,7 +142,13 @@ class ISM:
         :func:`repro.pipeline.costing.plan_keys` honours), so a
         stateful policy's last-key state tracks what was actually
         served if the caller later resumes policy-driven stepping.
+
+        Raises ``ValueError``, before any state changes, for a frame
+        whose left and right views differ in shape or hold a NaN or
+        infinite pixel: flow and the guided search would otherwise
+        turn it into a garbage map.
         """
+        _check_pair(frame.left, frame.right)
         if is_key is None:
             is_key = self._key_disp is None or self.policy.is_key(
                 self._index, self._context

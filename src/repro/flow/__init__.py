@@ -7,6 +7,7 @@ from repro.flow.farneback import (
     farneback_ops,
     flow_from_expansions,
     flow_iteration,
+    flow_update,
     poly_expansion,
 )
 from repro.flow.gaussian import (
@@ -30,6 +31,7 @@ __all__ = [
     "farneback_ops",
     "flow_from_expansions",
     "flow_iteration",
+    "flow_update",
     "forward_warp_disparity",
     "gaussian_blur",
     "gaussian_blur_ops",

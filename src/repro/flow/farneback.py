@@ -22,20 +22,31 @@ The hot path is written for the non-key serving loop:
   moments factor over ``g``, ``g*x``, ``g*x^2``), and every 1-D pass
   is a single :func:`scipy.ndimage.correlate1d` sweep rather than a
   Python tap loop;
-* ``flow_iteration`` blurs only the three distinct components of the
-  symmetric ``G`` plus the two of ``h`` — five maps fused into two
-  stacked axis-wise sweeps (:func:`~repro.flow.gaussian.
-  batched_gaussian_blur`);
+* an expansion is stored channel-first, as **planes**: one contiguous
+  ``(5, h, w)`` array per pyramid level holding the five distinct
+  coefficients ``[A00, A01, A11, b0, b1]`` (``A`` is symmetric), and
+  the flow is carried as ``(2, h, w)``;
+* :func:`flow_update` runs the point-wise stages of an update (the
+  warp gather, the blends, the matrix products, the 2x2 solve) in
+  blocks of :data:`_BLOCK_ROWS` rows, so every temporary stays in
+  cache, and blurs only the three distinct components of the symmetric
+  ``G = A^T A`` plus the two of ``h = A^T db`` — one stacked
+  :func:`~repro.flow.gaussian.batched_gaussian_blur` over the whole
+  frame between the two blocked halves;
 * a ``precision`` knob threads ``float32`` through the whole pipeline
   (the expansions and flow fields halve their memory traffic);
-* :func:`expand_frame` exposes a frame's per-level ``(A, b)`` pyramid
-  as a reusable :class:`FrameExpansion`, so consecutive video frames
-  can share expansions (see :class:`repro.core.ism.ISM`'s cross-frame
+* :func:`expand_frame` exposes a frame's per-level planes as a
+  reusable :class:`FrameExpansion`, so consecutive video frames can
+  share expansions (see :class:`repro.core.ism.ISM`'s cross-frame
   expansion cache) — :func:`farneback_flow` is a thin composition of
   :func:`expand_frame` and :func:`flow_from_expansions`.
 
-Every vectorized stage is pinned bit-identical to a per-pixel scalar
-reference in ``tests/test_flow.py``, in both precisions.
+The row blocks cannot change a bit: every blocked stage is per pixel,
+the warp gathers from the whole second-frame planes, and the blur runs
+on the whole stack.  :func:`poly_expansion` and :func:`flow_iteration`
+keep the ``(A, b)`` interface as thin views over the plane kernels,
+and are pinned bit-identical to per-pixel scalar references in
+``tests/test_flow.py``, in both precisions.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy import ndimage
 
 from repro.flow.gaussian import (
@@ -57,6 +69,7 @@ __all__ = [
     "FrameExpansion",
     "poly_expansion",
     "expand_frame",
+    "flow_update",
     "flow_iteration",
     "flow_from_expansions",
     "farneback_flow",
@@ -66,6 +79,10 @@ __all__ = [
 #: pyramid levels stop once a side falls below this (matches the
 #: pre-cache implementation, so cached pyramids line up exactly)
 _MIN_PYRAMID_SIDE = 16
+
+#: rows per block of :func:`flow_update`'s point-wise stages; a block
+#: of every temporary stays in cache (16 to 64 rows measured alike)
+_BLOCK_ROWS = 32
 
 
 def _moment_filters(sigma: float, radius: int):
@@ -79,18 +96,11 @@ def _corr(img: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     return ndimage.correlate1d(img, taps, axis=axis, mode="nearest")
 
 
-def poly_expansion(
-    img: np.ndarray,
-    sigma: float = 1.5,
-    radius: int | None = None,
-    precision: str = "float64",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic-polynomial expansion of an image.
-
-    Returns ``(A, b)`` where ``A`` is (H, W, 2, 2) and ``b`` is
-    (H, W, 2); the constant term is not needed by the flow update.
-    Coordinates are (y, x).  ``precision`` selects the working dtype
-    of the moment filters and the returned coefficient maps.
+def _expansion_planes(
+    img: np.ndarray, sigma: float, radius: int | None, dtype
+) -> np.ndarray:
+    """The ``(5, h, w)`` planes ``[A00, A01, A11, b0, b1]`` of a
+    grayscale image already in the working dtype.
 
     The six Gaussian image moments share separable structure: filters
     ``{g, g*x, g*x^2} x {g, g*x, g*x^2}`` need only the three y-passes
@@ -99,10 +109,6 @@ def poly_expansion(
     and three scalars), so the normal-equation solve is five short
     explicit dot products rather than a dense (H, W, 6) @ (6, 6).
     """
-    dtype = resolve_precision(precision)
-    img = np.asarray(img, dtype=dtype)
-    if img.ndim != 2:
-        raise ValueError("poly_expansion expects a grayscale image")
     if radius is None:
         radius = gaussian_support_radius(sigma)
     g0, g1, g2 = _moment_filters(sigma, radius)
@@ -131,33 +137,82 @@ def poly_expansion(
     inv_s2 = dtype(1.0 / s2)
     inv_s2s2 = dtype(1.0 / (s2 * s2))
 
-    h, w = img.shape
-    A = np.empty((h, w, 2, 2), dtype)
+    planes = np.empty((5,) + img.shape, dtype)
     # [c, axx, ayy] = inv3 @ [m00, m02, m20]; c is never used
-    A[..., 1, 1] = inv3[1, 0] * m00 + inv3[1, 1] * m02 + inv3[1, 2] * m20  # axx
-    A[..., 0, 0] = inv3[2, 0] * m00 + inv3[2, 1] * m02 + inv3[2, 2] * m20  # ayy
-    off = 0.5 * (m11 * inv_s2s2)                                           # axy/2
-    A[..., 0, 1] = off
-    A[..., 1, 0] = off
-    b = np.empty((h, w, 2), dtype)
-    b[..., 0] = m10 * inv_s2     # by
-    b[..., 1] = m01 * inv_s2     # bx
+    for plane, row in ((planes[0], inv3[2]), (planes[2], inv3[1])):  # ayy, axx
+        np.multiply(row[0], m00, out=plane)
+        plane += row[1] * m02
+        plane += row[2] * m20
+    np.multiply(m11, inv_s2s2, out=planes[1])
+    planes[1] *= 0.5                         # axy/2
+    np.multiply(m10, inv_s2, out=planes[3])  # by
+    np.multiply(m01, inv_s2, out=planes[4])  # bx
+    return planes
+
+
+def _coefficient_views(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(A, b)`` views of ``(5, h, w)`` planes.
+
+    ``A[..., r, c]`` is plane ``r + c`` (so both off-diagonal entries
+    read the one ``A01`` plane) and ``b[..., k]`` is plane ``3 + k``;
+    nothing is copied.
+    """
+    _, h, w = planes.shape
+    sp, sy, sx = planes.strides
+    A = as_strided(planes, (h, w, 2, 2), (sy, sx, sp, sp), writeable=False)
+    b = as_strided(planes[3:], (h, w, 2), (sy, sx, sp), writeable=False)
     return A, b
+
+
+def _planes_of(A: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
+    """Pack ``(A, b)`` coefficient maps into ``(5, h, w)`` planes."""
+    planes = np.empty((5,) + A.shape[:2], dtype)
+    planes[0] = A[..., 0, 0]
+    planes[1] = A[..., 0, 1]
+    planes[2] = A[..., 1, 1]
+    planes[3] = b[..., 0]
+    planes[4] = b[..., 1]
+    return planes
+
+
+def poly_expansion(
+    img: np.ndarray,
+    sigma: float = 1.5,
+    radius: int | None = None,
+    precision: str = "float64",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadratic-polynomial expansion of an image.
+
+    Returns ``(A, b)`` where ``A`` is (H, W, 2, 2) and ``b`` is
+    (H, W, 2); the constant term is not needed by the flow update.
+    Coordinates are (y, x).  ``precision`` selects the working dtype
+    of the moment filters and the returned coefficient maps.
+
+    Both are read-only views of the channel-first planes
+    :func:`expand_frame` stores (see :class:`FrameExpansion`), so
+    their strides differ from a freshly allocated array's.
+    """
+    dtype = resolve_precision(precision)
+    img = np.asarray(img, dtype=dtype)
+    if img.ndim != 2:
+        raise ValueError("poly_expansion expects a grayscale image")
+    return _coefficient_views(_expansion_planes(img, sigma, radius, dtype))
 
 
 @dataclass(frozen=True)
 class FrameExpansion:
     """One frame's polynomial-expansion pyramid, ready for reuse.
 
-    ``coeffs[k]`` is the ``(A, b)`` pair of pyramid level ``k`` (level
-    0 is full resolution) and ``shapes[k]`` its image shape.  The
-    remaining fields record the parameters the expansion was computed
-    with, so a consumer (the ISM cross-frame cache) can check that a
-    carried-over expansion is still compatible before reusing it.
+    ``planes[k]`` is pyramid level ``k`` (level 0 is full resolution)
+    as one contiguous channel-first ``(5, h, w)`` array of the five
+    distinct coefficients ``[A00, A01, A11, b0, b1]``; ``shapes`` and
+    ``coeffs`` are views derived from it, not copies.  The remaining
+    fields record the parameters the expansion was computed with, so a
+    consumer (the ISM cross-frame cache) can check that a carried-over
+    expansion is still compatible before reusing it.
     """
 
-    coeffs: tuple[tuple[np.ndarray, np.ndarray], ...]
-    shapes: tuple[tuple[int, int], ...]
+    planes: tuple[np.ndarray, ...]
     levels: int
     sigma: float
     radius: int | None
@@ -166,7 +221,18 @@ class FrameExpansion:
     @property
     def depth(self) -> int:
         """Number of pyramid levels actually built."""
-        return len(self.coeffs)
+        return len(self.planes)
+
+    @property
+    def shapes(self) -> tuple[tuple[int, int], ...]:
+        """Image shape of every level."""
+        return tuple((p.shape[1], p.shape[2]) for p in self.planes)
+
+    @property
+    def coeffs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Every level's ``(A, b)`` as read-only views of its planes
+        (the :func:`poly_expansion` layout)."""
+        return tuple(_coefficient_views(p) for p in self.planes)
 
     def matches(
         self,
@@ -212,21 +278,19 @@ def expand_frame(
     """Polynomial-expansion pyramid of one frame.
 
     The per-frame half of :func:`farneback_flow`: build the Gaussian
-    pyramid and expand every level.  In a video, frame ``t``'s
-    expansion serves both the ``(t-1, t)`` and the ``(t, t+1)`` flow
-    computations, so carrying the returned object forward halves the
-    steady-state expansion cost — values stay bit-identical because
+    pyramid and expand every level into its planes.  In a video, frame
+    ``t``'s expansion serves both the ``(t-1, t)`` and the ``(t, t+1)``
+    flow computations, so a caller that carries it forward skips one
+    expansion per shared frame — values stay bit-identical because
     the expansion depends only on the frame and the parameters.
     """
     dtype = resolve_precision(precision)
-    pyramid = _pyramid(_as_gray(frame, dtype), levels, dtype)
-    coeffs = tuple(
-        poly_expansion(p, sigma=sigma, radius=radius, precision=precision)
-        for p in pyramid
-    )
+    gray = _as_gray(frame, dtype)
+    if gray.ndim != 2:
+        raise ValueError("expand_frame expects a grayscale or colour image")
+    pyramid = _pyramid(gray, levels, dtype)
     return FrameExpansion(
-        coeffs=coeffs,
-        shapes=tuple(p.shape for p in pyramid),
+        planes=tuple(_expansion_planes(p, sigma, radius, dtype) for p in pyramid),
         levels=levels,
         sigma=sigma,
         radius=radius,
@@ -234,96 +298,166 @@ def expand_frame(
     )
 
 
-def flow_iteration(
-    A1, b1, A2, b2, flow: np.ndarray, window_sigma: float = 4.0
-) -> np.ndarray:
-    """One Farneback update: warp, matrix update, Gaussian average,
-    per-pixel 2x2 solve.  ``flow`` is (H, W, 2) in (dy, dx), and every
-    coefficient map covers the same (H, W) frame.
+def _matrix_update(
+    p1: np.ndarray,
+    src: np.ndarray,
+    flow: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    h: int,
+    w: int,
+    out: np.ndarray,
+) -> None:
+    """The pre-blur half of an update for one block of rows.
 
-    Only the three distinct components of the symmetric ``G = A^T A``
-    and the two of ``h = A^T db`` are Gaussian-averaged, as one fused
-    five-slice stacked sweep.
+    ``p1`` and ``flow`` are the block's rows of the first frame's
+    planes and of the flow, ``src`` the whole second frame's planes
+    flattened to ``(5, h * w)``, ``rows``/``cols`` the block's pixel
+    coordinates and ``out`` the block's rows of the ``(5, h, w)`` blur
+    input, which receives ``[G00, G01, G11, h0, h1]``.
     """
     dtype = flow.dtype
-    h, w = flow.shape[:2]
-    yy = np.arange(h, dtype=dtype)[:, None]
-    xx = np.arange(w, dtype=dtype)[None, :]
-    sy = np.clip(yy + flow[..., 0], 0, h - 1)
-    sx = np.clip(xx + flow[..., 1], 0, w - 1)
+    f0, f1 = flow
+    sy = rows + f0
+    np.clip(sy, 0, h - 1, out=sy)
+    sx = cols + f1
+    np.clip(sx, 0, w - 1, out=sx)
 
-    # bilinear warp of the five distinct second-frame channels with
-    # shared gather coordinates (A2 is symmetric by construction)
     # sy/sx are clipped non-negative, so the float->int truncation IS
     # the floor — one pass instead of floor-then-cast
     y0 = sy.astype(np.intp)
     x0 = sx.astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
     # keep the interpolation weights in the working dtype: float32
     # minus an int64 index grid would silently promote the whole warp
     # (and the blurred stack below) to float64
     fy = (sy - y0).astype(dtype, copy=False)
     fx = (sx - x0).astype(dtype, copy=False)
+    x1 = np.minimum(x0 + 1, w - 1)
+    r0 = y0
+    r0 *= w                                 # flat index of row y0
+    r1 = np.minimum(r0 + w, (h - 1) * w)    # ... and of row min(y0+1, h-1)
 
-    # pack the five channels so each bilinear corner is a single
-    # gather of five contiguous values instead of five strided ones
-    # (the weights broadcast over the packed axis, so the per-element
-    # arithmetic — and therefore every bit of the result — is
-    # unchanged); ``np.take`` on flat row indices gathers faster than
-    # 2-D fancy indexing
-    packed = np.empty((h, w, 5), dtype)
-    packed[..., 0] = A2[..., 0, 0]
-    packed[..., 1] = A2[..., 0, 1]
-    packed[..., 2] = A2[..., 1, 1]
-    packed[..., 3] = b2[..., 0]
-    packed[..., 4] = b2[..., 1]
-    flat = packed.reshape(h * w, 5)
-    r0 = y0 * w
-    r1 = y1 * w
-    wx = fx[..., None]
-    wy = fy[..., None]
-    omx = 1 - wx
-    top = np.take(flat, r0 + x0, axis=0) * omx + np.take(flat, r0 + x1, axis=0) * wx
-    bot = np.take(flat, r1 + x0, axis=0) * omx + np.take(flat, r1 + x1, axis=0) * wx
-    warped = top * (1 - wy) + bot * wy
+    # bilinear warp of the five second-frame planes with shared flat
+    # gather indices (A2 is symmetric by construction)
+    omx = 1 - fx
+    top = np.take(src, r0 + x0, axis=1)
+    top *= omx
+    right = np.take(src, r0 + x1, axis=1)
+    right *= fx
+    top += right
+    bot = np.take(src, r1 + x0, axis=1)
+    bot *= omx
+    right = np.take(src, r1 + x1, axis=1)
+    right *= fx
+    bot += right
+    top *= 1 - fy
+    bot *= fy
+    warped = top
+    warped += bot
 
-    A00 = 0.5 * (A1[..., 0, 0] + warped[..., 0])
-    A01 = 0.5 * (A1[..., 0, 1] + warped[..., 1])
-    A11 = 0.5 * (A1[..., 1, 1] + warped[..., 2])
-    f0 = flow[..., 0]
-    f1 = flow[..., 1]
-    db0 = -0.5 * (warped[..., 3] - b1[..., 0]) + (A00 * f0 + A01 * f1)
-    db1 = -0.5 * (warped[..., 4] - b1[..., 1]) + (A01 * f0 + A11 * f1)
+    # A = (A1 + warped A2) / 2 and db = -(warped b2 - b1) / 2 + A d
+    A = warped[:3]
+    A += p1[:3]
+    A *= 0.5
+    A00, A01, A11 = A
+    db = warped[3:]
+    db -= p1[3:]
+    db *= -0.5
+    db0, db1 = db
+    db0 += A00 * f0 + A01 * f1
+    db1 += A01 * f0 + A11 * f1
 
-    # matrix update: G = A^T A (symmetric: three distinct components),
-    # h = A^T db, averaged over a window in one fused stacked blur;
-    # the products land straight in the blur input, skipping the
-    # five temporaries plus copy a np.stack would make
-    stack = np.empty((5, h, w), dtype)
-    np.multiply(A00, A00, out=stack[0])
-    stack[0] += A01 * A01            # G00
-    np.multiply(A00, A01, out=stack[1])
-    stack[1] += A01 * A11            # G01 = G10
-    np.multiply(A01, A01, out=stack[2])
-    stack[2] += A11 * A11            # G11
-    np.multiply(A00, db0, out=stack[3])
-    stack[3] += A01 * db1            # h0
-    np.multiply(A01, db0, out=stack[4])
-    stack[4] += A11 * db1            # h1
-    G00, G01, G11, h0, h1 = batched_gaussian_blur(stack, window_sigma)
+    # matrix update: G = A^T A (symmetric: three distinct components)
+    # and h = A^T db, written straight into the blur input
+    np.multiply(A00, A00, out=out[0])
+    out[0] += A01 * A01             # G00
+    np.multiply(A00, A01, out=out[1])
+    out[1] += A01 * A11             # G01 = G10
+    np.multiply(A01, A01, out=out[2])
+    out[2] += A11 * A11             # G11
+    np.multiply(A00, db0, out=out[3])
+    out[3] += A01 * db1             # h0
+    np.multiply(A01, db0, out=out[4])
+    out[4] += A11 * db1             # h1
 
-    # compute flow: solve the 2x2 system per pixel with Tikhonov damping
-    # *relative* to the local signal energy, so low-contrast images are
-    # not biased towards zero flow
+
+def _solve(blurred: np.ndarray, out: np.ndarray) -> None:
+    """The 2x2 solve ``G d = h`` for one block of rows of the blurred
+    ``[G00, G01, G11, h0, h1]``, into the block's rows of ``out``.
+
+    The Tikhonov damping is *relative* to the local signal energy, so
+    low-contrast images are not biased towards zero flow.
+    """
+    G00, G01, G11, h0, h1 = blurred
     lam = 1e-3 * 0.5 * (G00 + G11) + 1e-12
     g00 = G00 + lam
     g11 = G11 + lam
-    det = g00 * g11 - G01 * G01
-    new = np.empty_like(flow)
-    new[..., 0] = (g11 * h0 - G01 * h1) / det
-    new[..., 1] = (g00 * h1 - G01 * h0) / det
+    det = g00 * g11
+    det -= G01 * G01
+    num = g11 * h0
+    num -= G01 * h1
+    np.divide(num, det, out=out[0])
+    np.multiply(g00, h1, out=num)
+    num -= G01 * h0
+    np.divide(num, det, out=out[1])
+
+
+def flow_update(
+    p1: np.ndarray, p2: np.ndarray, flow: np.ndarray, window_sigma: float = 4.0
+) -> np.ndarray:
+    """One Farneback update on channel-first planes.
+
+    ``p1`` and ``p2`` are the two frames' ``(5, h, w)`` expansion
+    planes (one :attr:`FrameExpansion.planes` level) and ``flow`` the
+    ``(2, h, w)`` estimate in (dy, dx); returns the new ``(2, h, w)``
+    estimate in ``flow``'s dtype, leaving every input untouched.
+
+    The warp, the matrix update and the solve run :data:`_BLOCK_ROWS`
+    rows at a time; the Gaussian average of ``[G00, G01, G11, h0,
+    h1]`` runs once over the whole stack in between.  Each blocked
+    stage is per pixel and the warp gathers from the whole of ``p2``,
+    so no output bit depends on the block height.
+    """
+    dtype = flow.dtype
+    _, h, w = flow.shape
+    src = p2.reshape(5, h * w)
+    rows = np.arange(h, dtype=dtype)[:, None]
+    cols = np.arange(w, dtype=dtype)
+    stack = np.empty((5, h, w), dtype)
+    for lo in range(0, h, _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        _matrix_update(
+            p1[:, block], src, flow[:, block], rows[block], cols, h, w,
+            stack[:, block],
+        )
+    blurred = batched_gaussian_blur(stack, window_sigma)
+    new = np.empty((2, h, w), dtype)
+    for lo in range(0, h, _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        _solve(blurred[:, block], new[:, block])
     return new
+
+
+def flow_iteration(
+    A1, b1, A2, b2, flow: np.ndarray, window_sigma: float = 4.0
+) -> np.ndarray:
+    """One Farneback update on ``(A, b)`` coefficient maps.
+
+    ``flow`` is (H, W, 2) in (dy, dx), and every coefficient map
+    covers the same (H, W) frame (the :func:`poly_expansion` layout).
+    A thin adapter: the maps are packed into planes in ``flow``'s
+    dtype and :func:`flow_update` runs the update, so the result is
+    bit-identical to it.  Returns (H, W, 2), a view of channel-first
+    storage.
+    """
+    dtype = flow.dtype
+    new = flow_update(
+        _planes_of(A1, b1, dtype),
+        _planes_of(A2, b2, dtype),
+        np.moveaxis(flow, -1, 0),
+        window_sigma,
+    )
+    return np.moveaxis(new, 0, -1)
 
 
 def flow_from_expansions(
@@ -335,30 +469,34 @@ def flow_from_expansions(
 ) -> np.ndarray:
     """Coarse-to-fine flow between two pre-expanded frames.
 
+    Returns the (H, W, 2) flow in (dy, dx), a view of the ``(2, H, W)``
+    array the updates carry (same shape, dtype and values as a
+    channel-last array; only the strides differ).
+
     ``step`` swaps the per-level update — e.g. a
     :meth:`repro.parallel.TileExecutor.flow_iteration` bound method;
-    ``None`` runs the plain :func:`flow_iteration`.  Any replacement
-    must keep its signature.
+    ``None`` runs the plain :func:`flow_update`.  It is called once per
+    update as ``step(p1, p2, flow, window_sigma)`` with the two
+    frames' ``(5, h, w)`` planes and the ``(2, h, w)`` flow, and must
+    return the new ``(2, h, w)`` flow.
     """
     if exp0.shapes != exp1.shapes:
         raise ValueError("frames must share a shape")
     if step is None:
-        step = flow_iteration
+        step = flow_update
     dtype = resolve_precision(exp0.precision)
-    flow = np.zeros(exp0.shapes[-1] + (2,), dtype)
+    flow = np.zeros((2,) + exp0.shapes[-1], dtype)
     for lvl in range(exp0.depth - 1, -1, -1):
-        shape = exp0.shapes[lvl]
+        h, w = exp0.shapes[lvl]
         if lvl != exp0.depth - 1:
-            up = np.zeros(shape + (2,), dtype)
+            up = np.empty((2, h, w), dtype)
             for c in range(2):
-                rep = np.repeat(np.repeat(flow[..., c], 2, 0), 2, 1)
-                up[..., c] = 2.0 * rep[: shape[0], : shape[1]]
+                rep = np.repeat(np.repeat(flow[c], 2, 0), 2, 1)
+                up[c] = 2.0 * rep[:h, :w]
             flow = up
-        A1, b1 = exp0.coeffs[lvl]
-        A2, b2 = exp1.coeffs[lvl]
         for _ in range(iterations):
-            flow = step(A1, b1, A2, b2, flow, window_sigma)
-    return flow
+            flow = step(exp0.planes[lvl], exp1.planes[lvl], flow, window_sigma)
+    return np.moveaxis(flow, 0, -1)
 
 
 def farneback_flow(
@@ -370,7 +508,8 @@ def farneback_flow(
     window_sigma: float = 4.0,
     precision: str = "float64",
 ) -> np.ndarray:
-    """Dense (H, W, 2) flow from ``frame0`` to ``frame1`` in (dy, dx)."""
+    """Dense (H, W, 2) flow from ``frame0`` to ``frame1`` in (dy, dx)
+    (a view of channel-first storage, see :func:`flow_from_expansions`)."""
     exp0 = expand_frame(frame0, levels=levels, sigma=sigma, precision=precision)
     exp1 = expand_frame(frame1, levels=levels, sigma=sigma, precision=precision)
     return flow_from_expansions(exp0, exp1, iterations, window_sigma)

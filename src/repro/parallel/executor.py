@@ -88,7 +88,8 @@ from repro.parallel.shm import (
 from repro.parallel.tiles import split_rows
 from repro.stereo.block_matching import (
     _check_block_size,
-    _check_finite,
+    _check_init,
+    _check_pair,
     block_match,
     guided_block_match,
     resolve_precision,
@@ -381,8 +382,14 @@ class TileExecutor:
         block_size: int = 9,
         subpixel: bool = True,
     ) -> np.ndarray:
-        """Tiled :func:`~repro.stereo.block_matching.block_match`."""
+        """Tiled :func:`~repro.stereo.block_matching.block_match`.
+
+        Raises ``ValueError``, before any pool starts, for an even
+        ``block_size``, views of different shapes, a NaN or infinite
+        pixel, and a ``max_disp`` outside ``[1, width]``.
+        """
         _check_block_size(block_size)  # before any pool or shm work
+        _check_pair(left, right, max_disp)
         return self._tiled(
             "bm",
             (left, right),
@@ -437,8 +444,15 @@ class TileExecutor:
         The per-pixel init map is banded alongside the images; the
         guided gather is same-row, so the halo is still just the
         box-filter radius no matter how large ``radius`` is.
+
+        Raises ``ValueError``, before any pool starts, for an even
+        ``block_size``, views of different shapes, a NaN or infinite
+        pixel, and an ``init`` of another shape than the frame or
+        holding a NaN or infinite value.
         """
         _check_block_size(block_size)
+        _check_pair(left, right)
+        _check_init(init, np.shape(left)[:2])
         return self._tiled(
             "guided",
             (left, right, init),
@@ -474,13 +488,14 @@ class TileExecutor:
 
         Raises ``ValueError``, before any pool starts, for ``paths``
         other than 2, 4 or 8, an even ``block_size``, a negative or NaN
-        ``p1`` or ``p2``, and a NaN or infinite pixel.
+        ``p1`` or ``p2``, views of different shapes, a NaN or infinite
+        pixel, and a ``max_disp`` outside ``[1, width]``.
         """
         if paths not in (2, 4, 8):
             raise ValueError("paths must be 2, 4 or 8")
         _check_block_size(block_size)
         _check_penalties(p1, p2)
-        _check_finite(left, right)
+        _check_pair(left, right, max_disp)
         cost = self._tiled(
             "sad_cost",
             (left, right),
@@ -524,16 +539,16 @@ class TileExecutor:
 
     def flow_iteration(
         self,
-        A1: np.ndarray,
-        b1: np.ndarray,
-        A2: np.ndarray,
-        b2: np.ndarray,
+        p1: np.ndarray,
+        p2: np.ndarray,
         flow: np.ndarray,
         window_sigma: float = 4.0,
     ) -> np.ndarray:
-        """:func:`~repro.flow.farneback.flow_iteration`, the ``step``
-        :meth:`flow_from_expansions` runs each update through."""
-        return _fb.flow_iteration(A1, b1, A2, b2, flow, window_sigma)
+        """:func:`~repro.flow.farneback.flow_update`, the ``step``
+        :meth:`flow_from_expansions` runs each update through: the two
+        frames' ``(5, h, w)`` planes and the ``(2, h, w)`` flow in, the
+        new ``(2, h, w)`` flow out."""
+        return _fb.flow_update(p1, p2, flow, window_sigma)
 
     def flow_from_expansions(
         self,

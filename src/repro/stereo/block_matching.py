@@ -69,6 +69,37 @@ def _check_finite(*images: np.ndarray) -> None:
             raise ValueError("images must be finite; got a NaN or infinite pixel")
 
 
+def _check_pair(left, right, max_disp: int | None = None) -> None:
+    """Refuse a stereo pair no matcher can search.
+
+    The two views must share a shape and hold only finite pixels; with
+    ``max_disp``, the search range ``[0, max_disp)`` must also lie
+    inside the frame (``1 <= max_disp <= width``).
+    """
+    shape = np.shape(left)
+    if shape != np.shape(right):
+        raise ValueError("left/right images must share a shape")
+    _check_finite(left, right)
+    if max_disp is None:
+        return
+    if max_disp < 1:
+        raise ValueError("max_disp must be >= 1")
+    if len(shape) >= 2 and max_disp > shape[1]:
+        raise ValueError(
+            f"max_disp must be <= the frame width {shape[1]}, got {max_disp}: "
+            "the search range [0, max_disp) would reach past the frame"
+        )
+
+
+def _check_init(init, shape: tuple[int, ...]) -> None:
+    """Refuse a guided-search start map of another shape than the
+    frame's ``(H, W)``, or holding a NaN or infinite disparity."""
+    if np.shape(init) != tuple(shape):
+        raise ValueError("init disparity must match the image shape")
+    if not np.isfinite(init).all():
+        raise ValueError("init disparity must be finite; got a NaN or infinite value")
+
+
 def _as_float(img: np.ndarray, dtype=np.float64) -> np.ndarray:
     img = np.asarray(img, dtype=dtype)
     if img.ndim == 3:  # collapse colour to luminance
@@ -138,15 +169,17 @@ def sad_cost_volume(
     ``precision`` selects the volume dtype (``"float32"`` halves the
     memory traffic, ``"float64"`` is the default).  ``block_size``
     must be odd, so the block has a centre.
+
+    Raises ``ValueError`` for an even ``block_size``, views of
+    different shapes, a NaN or infinite pixel, and a ``max_disp``
+    outside ``[1, width]`` (a search range ``[0, max_disp)`` that
+    reaches past the frame).
     """
     _check_block_size(block_size)
     dtype = resolve_precision(precision)
     left = _as_float(left, dtype)
     right = _as_float(right, dtype)
-    if left.shape != right.shape:
-        raise ValueError("left/right images must share a shape")
-    if max_disp < 1:
-        raise ValueError("max_disp must be >= 1")
+    _check_pair(left, right, max_disp)
     cost = np.empty((max_disp, *left.shape), dtype=dtype)
     for d in range(max_disp):
         diff = np.abs(left - shift_right_image(right, d))
@@ -189,7 +222,11 @@ def block_match(
     subpixel: bool = True,
     precision: str = "float64",
 ) -> np.ndarray:
-    """Winner-takes-all disparity from a full SAD search."""
+    """Winner-takes-all disparity from a full SAD search.
+
+    Raises ``ValueError`` for every input :func:`sad_cost_volume`
+    refuses.
+    """
     cost = sad_cost_volume(left, right, max_disp, block_size, precision)
     disp = cost.argmin(axis=0).astype(np.float64)
     if subpixel:
@@ -234,14 +271,18 @@ def guided_block_match(
     (exactly the half-step for an integer init), or is clipped to the
     reachable range where the geometry forces it.  ``block_size`` must
     be odd, as in :func:`sad_cost_volume`.
+
+    Raises ``ValueError`` for an even ``block_size``, views of
+    different shapes, a NaN or infinite pixel, an ``init`` of another
+    shape or holding a NaN or infinite value, and ``radius < 1``.
     """
     _check_block_size(block_size)
     dtype = resolve_precision(precision)
     left = _as_float(left, dtype)
     right = _as_float(right, dtype)
+    _check_pair(left, right)
     init = np.asarray(init, dtype=np.float64)
-    if init.shape != left.shape:
-        raise ValueError("init disparity must match the image shape")
+    _check_init(init, left.shape)
     if radius < 1:
         raise ValueError("radius must be >= 1")
     h, w = left.shape
@@ -249,13 +290,18 @@ def guided_block_match(
     xx = np.arange(w)[None, :]
     base = np.rint(init).astype(int)
     offsets = np.arange(-radius, radius + 1)
-    # all 2r+1 candidate gathers at once: one (K, H, W) index batch
-    # replaces the per-offset np.mgrid/gather setup, and the SAD box
-    # filter runs as one fused stack sweep (bit-identical per slice)
+    # all 2r+1 candidate gathers at once: one (K, H, W) batch of flat
+    # indices replaces the per-offset np.mgrid/gather setup, and the
+    # SAD box filter runs as one fused stack sweep (bit-identical per
+    # slice)
     d = base[None] + offsets[:, None, None]
     sample_x = xx[None] + d
     valid = (sample_x >= 0) & (sample_x < w) & (d >= 0)
-    diff = np.abs(left[None] - right[yy, np.clip(sample_x, 0, w - 1)])
+    flat = np.clip(sample_x, 0, w - 1)
+    flat += yy * w
+    diff = np.take(right.ravel(), flat)
+    np.subtract(left, diff, out=diff)
+    np.abs(diff, out=diff)
     costs = _box_mean(diff, block_size)
     costs[~valid] = _BIG
     any_valid = valid.any(axis=0)

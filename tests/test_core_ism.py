@@ -1,5 +1,8 @@
 """End-to-end tests of the ISM algorithm and key-frame policies."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,13 +11,17 @@ from repro.core import (
     ISMConfig,
     MotionAdaptivePolicy,
     StaticKeyFramePolicy,
+    compose_flows,
     nonkey_frame_ops,
     propagate_correspondences,
     reconstruct_correspondences,
     refine_correspondences,
 )
 from repro.datasets import sceneflow_scene
+from repro.flow import bilinear_sample
 from repro.models.proxy import StereoDNNProxy
+from repro.parallel import TileExecutor, shm_available
+from repro.pipeline import kitti_stream, sceneflow_stream
 from repro.stereo import error_rate
 
 
@@ -82,6 +89,27 @@ class TestCorrespondenceSteps:
         assert error_rate(refined, f1.disparity) <= error_rate(
             rough, f1.disparity
         ) + 2.0
+
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_compose_flows_equals_two_bilinear_samples(self, dtype):
+        # the one-pass gather against the per-component formula it
+        # replaced: float64 arithmetic, cast into the flow's dtype
+        rng = np.random.default_rng(21)
+        h, w = 37, 50
+        first = rng.normal(scale=3.0, size=(h, w, 2)).astype(dtype)  # clamps too
+        then = rng.normal(scale=2.0, size=(h, w, 2)).astype(dtype)
+        yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+        my, mx = yy + first[..., 0], xx + first[..., 1]
+        want = np.empty_like(first)
+        want[..., 0] = first[..., 0] + bilinear_sample(then[..., 0], my, mx)
+        want[..., 1] = first[..., 1] + bilinear_sample(then[..., 1], my, mx)
+        # channel-last and channel-first storage alike
+        planar = [np.moveaxis(np.moveaxis(f, -1, 0).copy(), 0, -1) for f in (first, then)]
+        for args in ((first, then), planar):
+            got = compose_flows(*args)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestISMPipeline:
@@ -202,6 +230,23 @@ class TestOnlineAPI:
         _, key_again = ism.step(video[2])
         assert key_again
 
+    def test_step_refuses_a_bad_frame_before_any_state_changes(self, video):
+        ism = ISM(dnn=lambda f: f.disparity, config=ISMConfig(propagation_window=4))
+        ism.step(video[0])
+        broken = video[1].left.copy()
+        broken[:, 7] = np.nan
+        for bad, match in (
+            (dataclasses.replace(video[1], left=broken), "finite"),
+            (dataclasses.replace(video[1], right=broken), "finite"),
+            (dataclasses.replace(video[1], right=video[1].right[:, :-8]), "share a shape"),
+        ):
+            for is_key in (None, True, False):
+                with pytest.raises(ValueError, match=match):
+                    ism.step(bad, is_key=is_key)
+        assert ism._index == 1 and ism._prev_frame is video[0]
+        disp, key = ism.step(video[1])
+        assert not key and np.isfinite(disp).all()
+
     def test_run_sequence_resets_state(self, video):
         """Two consecutive batch runs are independent."""
         ism = ISM(dnn=lambda f: f.disparity, config=ISMConfig(propagation_window=4))
@@ -273,3 +318,75 @@ class TestExpansionCache:
         )
         without, _, _ = propagate_correspondences(prev, cur, key)
         assert np.array_equal(with_cache, without)
+
+
+class TestISMDigestPins:
+    """Every disparity and accumulated flow of 12-frame ISM runs, pinned
+    by SHA-256 with ``==``.
+
+    The pipeline is built the way ``benchmarks/e2e/serve.py`` builds
+    it (BM key frames, PW-4, guided refinement and flow through a
+    :class:`~repro.parallel.TileExecutor`), on two SceneFlow sizes and
+    a KITTI stream (whose PW-4 windows span scene cuts), in both
+    precisions, serially and at two workers on threads and on
+    processes: 18 cases, one digest per scene and precision.  Any
+    optimisation of the non-key kernels (flow, the medians, the
+    composition, the guided search) must leave them unchanged; only a
+    deliberate algorithm change re-captures them.
+    """
+
+    SCENES = {
+        "sceneflow-68x120": (sceneflow_stream, 5, (68, 120), 24),
+        "sceneflow-135x240": (sceneflow_stream, 5, (135, 240), 48),
+        "kitti-72x200": (kitti_stream, 6, (72, 200), 32),
+    }
+    DIGESTS = {
+        ("sceneflow-68x120", "float64"):
+            "85d987171d60e0a901837e2b450de1197681bd16c97feb4107481a52e9140f9d",
+        ("sceneflow-68x120", "float32"):
+            "33c36aa173fb586df4ff0cb1dca7a2d055f3b291b3a303850e69cd57f0a05dcb",
+        ("sceneflow-135x240", "float64"):
+            "f2682b039ca2e5ba220b991c14d2e53372ec39f585f19614b1a7d7a4fcdf7db9",
+        ("sceneflow-135x240", "float32"):
+            "b315a51163775a5caa50be1fd51ac9b7621a25b856bc97d9578ea7c727c4c548",
+        ("kitti-72x200", "float64"):
+            "08d6582f0df4014fa709f5d188b707a692f2df1eed25f063e9b3c3b1fd525f51",
+        ("kitti-72x200", "float32"):
+            "fef9f982f1e8504f04e635679cb0c54955c260404dde1c449eb9d673701cb6ea",
+    }
+
+    @pytest.mark.parametrize(
+        "workers,pool",
+        [
+            (1, "process"),
+            (2, "thread"),
+            pytest.param(
+                2, "process",
+                marks=pytest.mark.skipif(
+                    not shm_available(), reason="no POSIX shared memory"
+                ),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("scene", list(SCENES))
+    def test_digest(self, scene, precision, workers, pool):
+        make, seed, size, max_disp = self.SCENES[scene]
+        frames = make(seed=seed, size=size, n_frames=12, max_disp=max_disp).frames()
+        digest = hashlib.sha256()
+        with TileExecutor(workers=workers, pool=pool, precision=precision) as ex:
+            matcher = ex.kernel("bm")
+            ism = ISM(
+                lambda f: matcher(f.left, f.right, max_disp),
+                config=ISMConfig(),
+                refiner=ex.kernel("guided"),
+                flow=ex,
+            )
+            for frame in frames:
+                disp, key = ism.step(frame)
+                digest.update(np.ascontiguousarray(disp).tobytes())
+                if not key:
+                    for flow in ism._accumulated:
+                        digest.update(str(flow.dtype).encode())
+                        digest.update(np.ascontiguousarray(flow).tobytes())
+        assert digest.hexdigest() == self.DIGESTS[scene, precision]

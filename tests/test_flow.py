@@ -386,6 +386,99 @@ class TestScalarPinning:
         assert np.array_equal(got, ref)
 
 
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_flow_iteration_matches_scalar_across_row_blocks(self, precision):
+        """37 rows: one full block of the update's point-wise stages and
+        one partial block, so block edges fall inside the frame."""
+        from repro.flow import farneback, flow_iteration
+        from repro.stereo.block_matching import resolve_precision
+
+        h, w = 37, 50
+        assert h > farneback._BLOCK_ROWS and h % farneback._BLOCK_ROWS
+        dtype = resolve_precision(precision)
+        f0 = textured(17, size=(h, w))
+        f1 = np.roll(f0, (2, -1), axis=(0, 1))
+        A1, b1 = poly_expansion(f0, precision=precision)
+        A2, b2 = poly_expansion(f1, precision=precision)
+        # large enough to warp across block boundaries and the border
+        flow = np.random.default_rng(18).normal(scale=2.0, size=(h, w, 2)).astype(dtype)
+        got = flow_iteration(A1, b1, A2, b2, flow, window_sigma=2.5)
+        ref = _scalar_flow_iteration(A1, b1, A2, b2, flow, window_sigma=2.5)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+class TestPlanes:
+    """Expansions and flows live in channel-first planes; the ``(A, b)``
+    and ``(H, W, 2)`` forms are views of them, and the row blocks of an
+    update cannot change a bit."""
+
+    @pytest.fixture(scope="class")
+    def expansions(self):
+        from repro.flow import expand_frame
+
+        frames = (textured(20, size=(70, 90)), textured(21, size=(70, 90)))
+        return {
+            precision: [expand_frame(f, levels=3, precision=precision) for f in frames]
+            for precision in ("float64", "float32")
+        }
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_coefficients_are_read_only_views(self, expansions, precision):
+        exp = expansions[precision][0]
+        for planes, (A, b), shape in zip(exp.planes, exp.coeffs, exp.shapes):
+            assert planes.shape == (5,) + shape and planes.flags.c_contiguous
+            assert np.shares_memory(A, planes) and np.shares_memory(b, planes)
+            assert not A.flags.writeable and not b.flags.writeable
+            assert np.array_equal(A[..., 0, 1], A[..., 1, 0])
+            assert A[..., 0, 0].tobytes() == planes[0].tobytes()
+            assert A[..., 0, 1].tobytes() == planes[1].tobytes()
+            assert A[..., 1, 1].tobytes() == planes[2].tobytes()
+            assert b[..., 0].tobytes() == planes[3].tobytes()
+            assert b[..., 1].tobytes() == planes[4].tobytes()
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_adapters_equal_the_plane_kernels(self, expansions, precision):
+        from repro.flow import flow_iteration, flow_update
+
+        exp0, exp1 = expansions[precision]
+        (A1, b1), (A2, b2) = exp0.coeffs[0], exp1.coeffs[0]
+        flow = np.random.default_rng(22).normal(size=(2,) + exp0.shapes[0])
+        flow = flow.astype(exp0.planes[0].dtype)
+        packed = flow_update(exp0.planes[0], exp1.planes[0], flow, 2.5)
+        assert packed.shape == flow.shape and packed.dtype == flow.dtype
+        adapted = flow_iteration(A1, b1, A2, b2, np.moveaxis(flow, 0, -1), 2.5)
+        assert adapted.tobytes() == np.moveaxis(packed, 0, -1).tobytes()
+        img = textured(20, size=(70, 90))
+        A, b = poly_expansion(img, precision=precision)
+        assert A.tobytes() == A1.tobytes() and b.tobytes() == b1.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 5, 31, 33, 1000])
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_block_height_cannot_change_a_bit(
+        self, expansions, monkeypatch, precision, rows
+    ):
+        from repro.flow import farneback, flow_from_expansions
+
+        exp0, exp1 = expansions[precision]
+        want = flow_from_expansions(exp0, exp1, 2, 2.5)
+        monkeypatch.setattr(farneback, "_BLOCK_ROWS", rows)
+        got = flow_from_expansions(exp0, exp1, 2, 2.5)
+        assert got.shape == (70, 90, 2) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_update_leaves_its_inputs_untouched(self, expansions):
+        from repro.flow import flow_update
+
+        exp0, exp1 = expansions["float64"]
+        p1, p2 = exp0.planes[0], exp1.planes[0]
+        flow = np.full((2,) + exp0.shapes[0], 0.75)
+        before = [a.copy() for a in (p1, p2, flow)]
+        flow_update(p1, p2, flow, 2.5)
+        for a, b in zip((p1, p2, flow), before):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestExpansionReuse:
     """Cross-frame expansion sharing (the ISM cache's enabler)."""
 

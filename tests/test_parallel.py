@@ -27,7 +27,7 @@ from repro.flow import (
     FrameExpansion,
     expand_frame,
     flow_from_expansions,
-    flow_iteration,
+    flow_update,
     poly_expansion,
 )
 from repro.flow import farneback as farneback_module
@@ -196,6 +196,40 @@ class TestExecutorValidation:
                 with pytest.raises(ValueError, match=match):
                     call()
             assert ex._pool is None
+
+
+    @pytest.mark.parametrize("pool", _POOL_PARAMS)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bm_and_guided_bad_input_rejected(self, pool, workers):
+        # on a 32x48 pair these used to return garbage: a NaN column an
+        # all-finite map, a NaN init a NaN map, a 40-pixel right image an
+        # IndexError, max_disp=60 disparities up to 49.5; each now raises
+        # before any pool or shm work, inline and on every pool
+        f = sceneflow_scene(11, size=(32, 48), max_disp=12).render(0)
+        broken = f.left.copy()
+        broken[:, 7] = np.nan
+        bad_init = f.disparity.copy()
+        bad_init[3, 5] = np.nan
+        narrow = f.right[:, :40]
+        with TileExecutor(workers=workers, pool=pool) as ex:
+            for call, match in (
+                (lambda: ex.block_match(broken, f.right, 8), "finite"),
+                (lambda: ex.block_match(f.left, broken, 8), "finite"),
+                (lambda: ex.block_match(f.left, narrow, 8), "share a shape"),
+                (lambda: ex.block_match(f.left, f.right, 60), "max_disp"),
+                (lambda: ex.guided_block_match(broken, f.right, f.disparity), "finite"),
+                (lambda: ex.guided_block_match(f.left, broken, f.disparity), "finite"),
+                (lambda: ex.guided_block_match(f.left, f.right, bad_init), "finite"),
+                (lambda: ex.guided_block_match(f.left, narrow, f.disparity), "share a shape"),
+                (lambda: ex.sgm(f.left, f.right, 60), "max_disp"),
+            ):
+                with pytest.raises(ValueError, match=match):
+                    call()
+            assert ex._pool is None
+            # the whole frame is a valid range: max_disp == width
+            assert np.array_equal(
+                ex.block_match(f.left, f.right, 48), block_match(f.left, f.right, 48)
+            )
 
 
 def test_kernels_do_not_import_the_executor():
@@ -493,7 +527,7 @@ def _same_bytes(got, want) -> bool:
     """Whether two flow results hold the same arrays, dtype and bytes."""
     def arrays(value):
         if isinstance(value, FrameExpansion):
-            return [a for pair in value.coeffs for a in pair]
+            return list(value.planes)
         return list(value) if isinstance(value, tuple) else [value]
 
     return all(
@@ -523,12 +557,14 @@ class TestFlowSeamEquivalence:
         for precision in ("float64", "float32"):
             exp0 = expand_frame(f0, levels=2, precision=precision)
             exp1 = expand_frame(f1, levels=2, precision=precision)
-            (A1, b1), (A2, b2) = exp0.coeffs[0], exp1.coeffs[0]
-            flow = np.full(A1.shape[:2] + (2,), 0.75, A1.dtype)  # warp off-grid
+            # the step hook's packed form: both frames' (5, h, w) planes
+            # and the (2, h, w) flow
+            p1, p2 = exp0.planes[0], exp1.planes[0]
+            flow = np.full((2,) + p1.shape[1:], 0.75, p1.dtype)  # warp off-grid
             want = {
                 "poly_expansion": poly_expansion(f0, precision=precision),
                 "expand_frame": exp0,
-                "flow_iteration": flow_iteration(A1, b1, A2, b2, flow, 2.5),
+                "flow_iteration": flow_update(p1, p2, flow, 2.5),
                 "flow_from_expansions": flow_from_expansions(exp0, exp1, 2, 2.5),
             }
             # precision=None throughout: the executor's own precision
@@ -536,7 +572,7 @@ class TestFlowSeamEquivalence:
                 got = {
                     "poly_expansion": ex.poly_expansion(f0),
                     "expand_frame": ex.expand_frame(f0, levels=2),
-                    "flow_iteration": ex.flow_iteration(A1, b1, A2, b2, flow, 2.5),
+                    "flow_iteration": ex.flow_iteration(p1, p2, flow, 2.5),
                     "flow_from_expansions": ex.flow_from_expansions(exp0, exp1, 2, 2.5),
                 }
                 assert ex._pool is None  # nothing was fanned out

@@ -499,6 +499,55 @@ class TestSGMFailsClosed:
                 sgm(*pair, 8)
 
 
+class TestBlockMatchFailsClosed:
+    """BM and the guided search refuse input they cannot search (on a
+    32x48 pair each case used to come back as a garbage map)."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return synthetic_pair(d=2, size=(32, 48))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_raises(self, pair, bad):
+        left, right = pair
+        broken = left.copy()
+        broken[:, 7] = bad
+        init = np.full(left.shape, 2.0)
+        for a, b in ((broken, right), (left, broken)):
+            for call in (
+                lambda: sad_cost_volume(a, b, 8),
+                lambda: block_match(a, b, 8),
+                lambda: guided_block_match(a, b, init),
+            ):
+                with pytest.raises(ValueError, match="finite"):
+                    call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_init_raises(self, pair, bad):
+        left, right = pair
+        init = np.full(left.shape, 2.0)
+        init[3, 5] = bad
+        with pytest.raises(ValueError, match="init disparity must be finite"):
+            guided_block_match(left, right, init)
+
+    def test_mismatched_views_raise(self, pair):
+        left, right = pair
+        with pytest.raises(ValueError, match="share a shape"):
+            guided_block_match(left, right[:, :40], np.full(left.shape, 2.0))
+        with pytest.raises(ValueError, match="share a shape"):
+            block_match(left, right[:, :40], 8)
+
+    def test_search_range_past_the_frame_raises(self, pair):
+        left, right = pair
+        for max_disp in (49, 60):
+            with pytest.raises(ValueError, match="max_disp must be <= the frame width"):
+                block_match(left, right, max_disp)
+            with pytest.raises(ValueError, match="max_disp must be <= the frame width"):
+                sgm(left, right, max_disp)
+        disp = block_match(left, right, 48)  # [0, 48) is the whole frame
+        assert np.isfinite(disp).all() and disp.max() < 48
+
+
 class TestSGM:
     def test_beats_plain_bm_on_scene(self, frame):
         bm = block_match(frame.left, frame.right, MAX_DISP)

@@ -184,6 +184,73 @@ class TestMedian2d:
         # a view would keep the whole window buffer alive
         assert out.base is None
 
+    @staticmethod
+    def _assert_scipy_bytes(a, size, mode):
+        out = median2d(a, size, mode)
+        ref = ndimage.median_filter(
+            a, size=(1,) * (a.ndim - 2) + (size, size), mode=mode
+        )
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes(), (a.shape, size, mode)
+
+    @pytest.mark.parametrize("mode", ["nearest", "reflect"])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 5), (3, 40, 33)]
+    )
+    def test_size3_selection_on_edge_shapes(self, shape, mode):
+        rng = np.random.default_rng(sum(shape))
+        for a in (
+            rng.standard_normal(shape),
+            np.full(shape, 2.5),
+            rng.integers(0, 3, shape).astype(np.float64),  # tie-heavy
+            rng.integers(-2, 3, shape).astype(np.float32),
+            rng.integers(0, 5, shape),                     # integer dtype
+        ):
+            self._assert_scipy_bytes(a, 3, mode)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_size3_selection_random_ties_and_infinities(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 70, size=2))
+        a = rng.integers(0, 4, shape).astype(np.float64)
+        a[rng.random(shape) < 0.05] = np.inf
+        a[rng.random(shape) < 0.05] = -np.inf
+        for mode in ("nearest", "reflect"):
+            self._assert_scipy_bytes(a, 3, mode)
+
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_partition_across_row_blocks(self, size):
+        from repro.stereo.refine import _BLOCK_ROWS as B
+
+        # heights around multiples of the block height put block edges
+        # at every offset inside the window
+        for height in (B - 1, B, B + 1, 2 * B, 2 * B + 1, 2 * B + 6):
+            rng = np.random.default_rng(height * size)
+            for a in (
+                rng.standard_normal((height, 23)),
+                rng.integers(0, 3, (2, height, 23)).astype(np.float64),
+            ):
+                for mode in ("nearest", "reflect"):
+                    self._assert_scipy_bytes(a, size, mode)
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_nan_or_negative_zero_stays_on_scipy(self, size):
+        # both would let a selection and scipy's rank filter pick
+        # different bits for the same window
+        rng = np.random.default_rng(size)
+        a = rng.integers(0, 2, (20, 30)).astype(np.float64)
+        a[rng.random(a.shape) < 0.4] = -0.0
+        self._assert_scipy_bytes(a, size, "nearest")
+        a[3, 4] = np.nan
+        self._assert_scipy_bytes(a, size, "reflect")
+
+    def test_median_clean_is_the_nearest_mode_median(self):
+        disp = np.abs(np.random.default_rng(4).normal(10, 4, (45, 60)))
+        for size in (3, 5, 4):
+            assert median_clean(disp, size).tobytes() == ndimage.median_filter(
+                disp, size=size, mode="nearest"
+            ).tobytes()
+
 
 class TestSupportPointsAndPriors:
     def test_support_points_on_uniform_shift(self):
