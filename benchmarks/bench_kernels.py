@@ -659,8 +659,8 @@ def test_nonkey_path_before_after(save_table):
     """Before/after for every non-key kernel + the served ISM step.
 
     Always asserted, any machine: the batched guided search is
-    bit-identical to the per-offset loop, ``median2d``'s size-3
-    selection to scipy's rank filter, the cached ISM serves
+    bit-identical to the per-offset loop, ``median2d``'s size-3 and
+    size-5 (flow stack) selections to scipy's rank filter, the cached ISM serves
     bit-identical disparities to the uncached one, the tiled ISM
     serves the serial one's, and the per-pixel scalar flow baseline
     agrees with the kernel.  The wall-clock gates (vectorized flow
@@ -717,6 +717,17 @@ def test_nonkey_path_before_after(save_table):
     assert median2d(batched, 3, "nearest").tobytes() == ndimage.median_filter(
         batched, size=3, mode="nearest"
     ).tobytes(), "median2d(size=3) must be bit-identical to scipy"
+    # the size-5 flow median, on the (4, h, w) stack of both streams'
+    # flow components the non-key path serves
+    flows = np.concatenate([
+        np.moveaxis(
+            farneback_flow(a, b, levels=3, iterations=2, window_sigma=2.5), -1, 0
+        )
+        for a, b in ((frames[0].left, fr.left), (frames[0].right, fr.right))
+    ])
+    assert median2d(flows, 5).tobytes() == ndimage.median_filter(
+        flows, size=(1, 5, 5)
+    ).tobytes(), "median2d(size=5) must be bit-identical to scipy"
     t_loop_guided = _clock(
         lambda: _loop_guided(fr.left, fr.right, fr.disparity), reps=2
     )

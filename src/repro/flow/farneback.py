@@ -92,8 +92,11 @@ def _moment_filters(sigma: float, radius: int):
 
 
 def _corr(img: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """One edge-replicated 1-D correlation sweep (dtype-preserving)."""
-    return ndimage.correlate1d(img, taps, axis=axis, mode="nearest")
+    """One edge-replicated 1-D correlation sweep (dtype-preserving),
+    into an uninitialised output (correlate1d zero-fills its own)."""
+    return ndimage.correlate1d(
+        img, taps, axis=axis, mode="nearest", output=np.empty(img.shape, img.dtype)
+    )
 
 
 def _expansion_planes(

@@ -92,9 +92,17 @@ def batched_gaussian_blur(stack: np.ndarray, sigma: float) -> np.ndarray:
     except that the input dtype is preserved — a ``float32`` stack
     stays ``float32`` instead of being promoted.
     """
+    stack = np.asarray(stack)
     weights = blur_kernel1d(sigma)
-    out = ndimage.correlate1d(stack, weights, axis=-2, mode="nearest")
-    return ndimage.correlate1d(out, weights, axis=-1, mode="nearest")
+    # correlate1d zero-fills an output it allocates; both sweeps
+    # overwrite every value, so they get uninitialised ones
+    out = ndimage.correlate1d(
+        stack, weights, axis=-2, mode="nearest",
+        output=np.empty(stack.shape, stack.dtype),
+    )
+    return ndimage.correlate1d(
+        out, weights, axis=-1, mode="nearest", output=np.empty(out.shape, out.dtype)
+    )
 
 
 def downsample2(img: np.ndarray) -> np.ndarray:

@@ -417,7 +417,12 @@ class TileExecutor:
         rows (the codes depend only on the right frame); the inline
         ``workers=1`` path calls the plain two-image matcher and is
         the bit-identity reference for both.
+
+        Raises ``ValueError``, before any census code or pool work, for
+        views of different shapes, a frame without rows or columns, a
+        NaN or infinite pixel, and a ``max_disp`` outside ``[1, width]``.
         """
+        _check_pair(left, right, max_disp)
         kwargs = dict(
             max_disp=max_disp,
             window=window,

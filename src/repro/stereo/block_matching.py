@@ -69,17 +69,17 @@ def _check_finite(*images: np.ndarray) -> None:
             raise ValueError("images must be finite; got a NaN or infinite pixel")
 
 
-def _check_pair(left, right, max_disp: int | None = None) -> None:
-    """Refuse a stereo pair no matcher can search.
-
-    The two views must share a shape and hold only finite pixels; with
-    ``max_disp``, the search range ``[0, max_disp)`` must also lie
-    inside the frame (``1 <= max_disp <= width``).
-    """
-    shape = np.shape(left)
-    if shape != np.shape(right):
-        raise ValueError("left/right images must share a shape")
-    _check_finite(left, right)
+def _check_frame(img, max_disp: int | None = None) -> None:
+    """Refuse a view no matcher can search: one without a row or a
+    column, or holding a NaN or infinite pixel; with ``max_disp``, also
+    a search range ``[0, max_disp)`` that does not lie inside the frame
+    (``1 <= max_disp <= width``)."""
+    shape = np.shape(img)
+    if 0 in shape[:2]:
+        raise ValueError(
+            f"frames must have at least one row and one column, got shape {shape}"
+        )
+    _check_finite(img)
     if max_disp is None:
         return
     if max_disp < 1:
@@ -89,6 +89,15 @@ def _check_pair(left, right, max_disp: int | None = None) -> None:
             f"max_disp must be <= the frame width {shape[1]}, got {max_disp}: "
             "the search range [0, max_disp) would reach past the frame"
         )
+
+
+def _check_pair(left, right, max_disp: int | None = None) -> None:
+    """Refuse a stereo pair no matcher can search: views of different
+    shapes, or a view :func:`_check_frame` refuses."""
+    if np.shape(left) != np.shape(right):
+        raise ValueError("left/right images must share a shape")
+    _check_finite(right)
+    _check_frame(left, max_disp)
 
 
 def _check_init(init, shape: tuple[int, ...]) -> None:
@@ -129,8 +138,14 @@ def _box_mean(img: np.ndarray, size: int) -> np.ndarray:
     per-offset SAD passes.
     """
     weights = np.full(size, 1.0 / size, dtype=np.float64)
-    out = ndimage.correlate1d(img, weights, axis=-2, mode="nearest")
-    return ndimage.correlate1d(out, weights, axis=-1, mode="nearest")
+    # correlate1d zero-fills an output it allocates; both sweeps
+    # overwrite every value, so they get uninitialised ones
+    out = ndimage.correlate1d(
+        img, weights, axis=-2, mode="nearest", output=np.empty(img.shape, img.dtype)
+    )
+    return ndimage.correlate1d(
+        out, weights, axis=-1, mode="nearest", output=np.empty(out.shape, out.dtype)
+    )
 
 
 def shift_right_image(right: np.ndarray, d: int) -> np.ndarray:
@@ -171,9 +186,9 @@ def sad_cost_volume(
     must be odd, so the block has a centre.
 
     Raises ``ValueError`` for an even ``block_size``, views of
-    different shapes, a NaN or infinite pixel, and a ``max_disp``
-    outside ``[1, width]`` (a search range ``[0, max_disp)`` that
-    reaches past the frame).
+    different shapes, a frame without rows or columns, a NaN or
+    infinite pixel, and a ``max_disp`` outside ``[1, width]`` (a search
+    range ``[0, max_disp)`` that reaches past the frame).
     """
     _check_block_size(block_size)
     dtype = resolve_precision(precision)
@@ -273,8 +288,9 @@ def guided_block_match(
     be odd, as in :func:`sad_cost_volume`.
 
     Raises ``ValueError`` for an even ``block_size``, views of
-    different shapes, a NaN or infinite pixel, an ``init`` of another
-    shape or holding a NaN or infinite value, and ``radius < 1``.
+    different shapes, a frame without rows or columns, a NaN or
+    infinite pixel, an ``init`` of another shape or holding a NaN or
+    infinite value, and ``radius < 1``.
     """
     _check_block_size(block_size)
     dtype = resolve_precision(precision)

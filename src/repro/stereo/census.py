@@ -25,6 +25,8 @@ import numpy as np
 from repro.stereo.block_matching import (
     _BIG,
     _as_float,
+    _check_frame,
+    _check_pair,
     _subpixel_refine,
     resolve_precision,
     shift_right_image,
@@ -119,9 +121,16 @@ def hamming_cost_volume(
     and the tiled adapter in :mod:`repro.parallel` match against the
     same right frame repeatedly, and the codes only depend on it.
     When given, ``right`` is ignored (it may be ``None``).
+
+    Raises ``ValueError`` for views of different shapes, a frame
+    without rows or columns, a NaN or infinite pixel (of ``left``, and
+    of ``right`` when it is matched), a ``max_disp`` outside
+    ``[1, width]``, and an even or too large ``window``.
     """
-    if max_disp < 1:
-        raise ValueError("max_disp must be >= 1")
+    if right_codes is None and right is not None:
+        _check_pair(left, right, max_disp)
+    else:
+        _check_frame(left, max_disp)
     dtype = resolve_precision(precision)
     cl = census_transform(left, window)
     if right_codes is not None:
@@ -161,7 +170,11 @@ def census_block_match(
     *,
     right_codes: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Winner-takes-all disparity from the census/Hamming cost."""
+    """Winner-takes-all disparity from the census/Hamming cost.
+
+    Raises ``ValueError`` for every input :func:`hamming_cost_volume`
+    refuses.
+    """
     cost = hamming_cost_volume(
         left, right, max_disp, window, precision, right_codes=right_codes
     )

@@ -13,9 +13,9 @@ regions.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.stereo.block_matching import guided_block_match, sad_cost_volume
+from repro.stereo.refine import median2d
 
 __all__ = ["support_points", "interpolate_prior", "elas"]
 
@@ -110,6 +110,6 @@ def elas(
     """
     ys, xs, ds = support_points(left, right, max_disp, grid_step, block_size)
     prior = interpolate_prior(ys, xs, ds, np.asarray(left).shape[:2])
-    prior = ndimage.median_filter(prior, size=5, mode="nearest")
+    prior = median2d(prior, 5, "nearest")
     disp = guided_block_match(left, right, prior, radius=band, block_size=block_size)
     return np.clip(disp, 0, max_disp - 1)

@@ -182,3 +182,57 @@ class TestHammingCost:
         frame = sceneflow_scene(9, size=(100, 180)).render(0)
         disp = census_block_match(frame.left, frame.right, 48, window=7)
         assert error_rate(disp, frame.disparity) < 30.0
+
+
+class TestCensusFailsClosed:
+    """Census matching refuses input it cannot search (on a 32x48 pair
+    a NaN column came back as an all-finite map, ``max_disp=60`` as
+    disparities up to 45.5, a 40-pixel right view as a NumPy broadcast
+    error and a 0x48 frame as "can't extend empty axis")."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return synthetic_pair(d=2, size=(32, 48))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_raises(self, pair, bad):
+        left, right = pair
+        broken = left.copy()
+        broken[:, 7] = bad
+        codes = census_transform(right)
+        for call in (
+            lambda: hamming_cost_volume(broken, right, 8),
+            lambda: census_block_match(broken, right, 8),
+            lambda: census_block_match(left, broken, 8),
+            lambda: census_block_match(broken, None, 8, right_codes=codes),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+    def test_mismatched_views_raise(self, pair):
+        left, right = pair
+        with pytest.raises(ValueError, match="share a shape"):
+            census_block_match(left, right[:, :40], 8)
+
+    def test_search_range_past_the_frame_raises(self, pair):
+        left, right = pair
+        codes = census_transform(right)
+        for max_disp in (49, 60):
+            with pytest.raises(ValueError, match="max_disp must be <= the frame width"):
+                census_block_match(left, right, max_disp)
+            with pytest.raises(ValueError, match="max_disp must be <= the frame width"):
+                hamming_cost_volume(left, None, max_disp, right_codes=codes)
+        disp = census_block_match(left, right, 48)  # [0, 48) is the whole frame
+        assert np.isfinite(disp).all() and disp.max() < 48
+
+    @pytest.mark.parametrize("shape", [(0, 48), (32, 0), (0, 0)])
+    def test_empty_frame_raises(self, shape):
+        empty = np.zeros(shape)
+        for call in (
+            lambda: census_block_match(empty, empty, 1),
+            lambda: hamming_cost_volume(
+                empty, None, 1, right_codes=np.zeros(shape, np.uint64)
+            ),
+        ):
+            with pytest.raises(ValueError, match="at least one row and one column"):
+                call()

@@ -247,6 +247,17 @@ class TestOnlineAPI:
         disp, key = ism.step(video[1])
         assert not key and np.isfinite(disp).all()
 
+    @pytest.mark.parametrize("shape", [(0, 48), (32, 0)])
+    def test_step_refuses_an_empty_frame(self, video, shape):
+        ism = ISM(dnn=lambda f: f.disparity, config=ISMConfig(propagation_window=4))
+        ism.step(video[0])
+        empty = np.zeros(shape)
+        bad = dataclasses.replace(video[1], left=empty, right=empty)
+        for is_key in (None, True, False):
+            with pytest.raises(ValueError, match="at least one row and one column"):
+                ism.step(bad, is_key=is_key)
+        assert ism._index == 1 and ism._prev_frame is video[0]
+
     def test_run_sequence_resets_state(self, video):
         """Two consecutive batch runs are independent."""
         ism = ISM(dnn=lambda f: f.disparity, config=ISMConfig(propagation_window=4))

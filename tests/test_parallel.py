@@ -231,6 +231,50 @@ class TestExecutorValidation:
                 ex.block_match(f.left, f.right, 48), block_match(f.left, f.right, 48)
             )
 
+    @pytest.mark.parametrize("pool", _POOL_PARAMS)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_census_bad_input_rejected(self, pool, workers):
+        # on a 32x48 pair census matching returned an all-finite map for
+        # a NaN column, disparities up to 45.5 for max_disp=60 and a
+        # broadcast error for a 40-pixel right view, on every pool; each
+        # now raises before any census code or pool work
+        f = sceneflow_scene(11, size=(32, 48), max_disp=12).render(0)
+        broken = f.left.copy()
+        broken[:, 7] = np.nan
+        with TileExecutor(workers=workers, pool=pool) as ex:
+            for call, match in (
+                (lambda: ex.census_block_match(broken, f.right, 8), "finite"),
+                (lambda: ex.census_block_match(f.left, broken, 8), "finite"),
+                (lambda: ex.census_block_match(f.left, f.right[:, :40], 8), "share a shape"),
+                (lambda: ex.census_block_match(f.left, f.right, 60), "max_disp"),
+            ):
+                with pytest.raises(ValueError, match=match):
+                    call()
+            assert ex._pool is None
+            assert np.array_equal(
+                ex.census_block_match(f.left, f.right, 48),
+                census_block_match(f.left, f.right, 48),
+            )
+
+    @pytest.mark.parametrize("pool", _POOL_PARAMS)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shape", [(0, 48), (32, 0)])
+    def test_empty_frame_rejected(self, pool, workers, shape):
+        # every matcher used to raise split_rows' "height must be >= 1"
+        # (even sgm at workers=1); all now say the serial kernels' words
+        # before any pool starts
+        empty = np.zeros(shape)
+        with TileExecutor(workers=workers, pool=pool) as ex:
+            for call in (
+                lambda: ex.block_match(empty, empty, 1),
+                lambda: ex.census_block_match(empty, empty, 1),
+                lambda: ex.guided_block_match(empty, empty, empty),
+                lambda: ex.sgm(empty, empty, 1),
+            ):
+                with pytest.raises(ValueError, match="at least one row and one column"):
+                    call()
+            assert ex._pool is None
+
 
 def test_kernels_do_not_import_the_executor():
     """The stereo and flow kernels sit below `repro.parallel`: importing

@@ -547,6 +547,20 @@ class TestBlockMatchFailsClosed:
         disp = block_match(left, right, 48)  # [0, 48) is the whole frame
         assert np.isfinite(disp).all() and disp.max() < 48
 
+    @pytest.mark.parametrize("shape", [(0, 48), (32, 0), (0, 0)])
+    def test_empty_frame_raises(self, shape):
+        # a 0x48 frame used to come back as a (0, 48) map from BM, SGM
+        # and the guided search
+        empty = np.zeros(shape)
+        for call in (
+            lambda: sad_cost_volume(empty, empty, 1),
+            lambda: block_match(empty, empty, 1),
+            lambda: sgm(empty, empty, 1),
+            lambda: guided_block_match(empty, empty, empty),
+        ):
+            with pytest.raises(ValueError, match="at least one row and one column"):
+                call()
+
 
 class TestSGM:
     def test_beats_plain_bm_on_scene(self, frame):

@@ -219,7 +219,7 @@ class TestMedian2d:
             self._assert_scipy_bytes(a, 3, mode)
 
     @pytest.mark.parametrize("size", [5, 7])
-    def test_partition_across_row_blocks(self, size):
+    def test_network_across_row_blocks(self, size):
         from repro.stereo.refine import _BLOCK_ROWS as B
 
         # heights around multiples of the block height put block edges
@@ -233,6 +233,84 @@ class TestMedian2d:
                 for mode in ("nearest", "reflect"):
                     self._assert_scipy_bytes(a, size, mode)
 
+    @pytest.mark.parametrize("size", [5, 7])
+    @pytest.mark.parametrize("mode", ["nearest", "reflect"])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 9), (9, 1), (2, 2), (4, 4), (3, 1, 1), (2, 11, 6)]
+    )
+    def test_network_on_edge_shapes(self, shape, mode, size):
+        rng = np.random.default_rng(sum(shape) * size)
+        infs = rng.integers(0, 3, shape).astype(np.float64)
+        infs[rng.random(shape) < 0.2] = np.inf
+        infs[rng.random(shape) < 0.2] = -np.inf
+        for a in (
+            rng.standard_normal(shape),
+            np.full(shape, -1.5),
+            rng.integers(0, 2, shape).astype(np.float64),  # tie-heavy
+            rng.standard_normal(shape).astype(np.float32),
+            rng.integers(-3, 3, shape).astype(np.int16),   # integer dtype
+            rng.integers(0, 200, shape).astype(np.uint8),
+            infs,
+            np.asfortranarray(infs),                       # not C-contiguous
+        ):
+            self._assert_scipy_bytes(a, size, mode)
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_column_sorter_sorts_every_01_column(self, size):
+        # 0-1 principle: a comparator network that sorts every 0-1
+        # input sorts every input
+        from repro.stereo.refine import _median_program, _run
+
+        prog = _median_program(size)
+        bits = (np.arange(2 ** size)[:, None] >> np.arange(size)) & 1
+        n = len(bits)
+        rows = [np.ascontiguousarray(bits[:, dy], dtype=np.uint8) for dy in range(size)]
+        bases = rows + list(np.zeros((prog.bases - size, n), np.uint8))
+        _run(prog.ops[: prog.sort_ops], prog.views, bases, n)
+        ranks = np.array([bases[c] for c in prog.columns])
+        assert np.array_equal(ranks, np.sort(bits.T, axis=0))
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_window_program_selects_the_median_of_sorted_01_columns(self, size):
+        # with sorted columns (the test above), the 0-1 principle needs
+        # only the (size + 1) ** size matrices of sorted 0-1 columns: a
+        # column of `size` sorted bits is fixed by its count of ones
+        from itertools import product
+
+        from repro.stereo.refine import _median_program, _run
+
+        prog = _median_program(size)
+        ones = np.array(list(product(range(size + 1), repeat=size)))
+        n = ones.size  # window i reads its columns at lanes size*i + c
+        bases = [np.zeros(n, np.uint8)] * size + list(
+            np.zeros((prog.bases - size, n + size - 1), np.uint8)
+        )
+        for k, c in enumerate(prog.columns):
+            bases[c][:n] = (ones.ravel() >= size - k)  # rank k is 1 iff
+        v = _run(prog.ops[prog.sort_ops:], prog.views, bases, n)
+        median = v[prog.result][::size]
+        assert np.array_equal(median, ones.sum(axis=1) > size * size // 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.sampled_from([3, 5, 7, 9]),
+        mode=st.sampled_from(["nearest", "reflect"]),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 24), st.integers(1, 24)),
+        stack=st.booleans(),
+        levels=st.integers(2, 50),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_network_matches_scipy_property(self, size, mode, shape, stack, levels, seed):
+        a = np.random.default_rng(seed).integers(0, levels, shape).astype(np.float64)
+        if not stack:
+            a = a[0]
+        out = median2d(a, size, mode)
+        ref = ndimage.median_filter(
+            a, size=(1,) * (a.ndim - 2) + (size, size), mode=mode
+        )
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+        assert out.base is None
+
     @pytest.mark.parametrize("size", [3, 5])
     def test_nan_or_negative_zero_stays_on_scipy(self, size):
         # both would let a selection and scipy's rank filter pick
@@ -243,6 +321,16 @@ class TestMedian2d:
         self._assert_scipy_bytes(a, size, "nearest")
         a[3, 4] = np.nan
         self._assert_scipy_bytes(a, size, "reflect")
+
+    @pytest.mark.parametrize("size", [3, 5])
+    @pytest.mark.parametrize("dtype", [np.float16, np.complex128])
+    def test_dtype_scipy_refuses_raises_scipys_error(self, dtype, size):
+        # the selection would return a result where scipy has none
+        a = np.arange(48).reshape(6, 8).astype(dtype)
+        with pytest.raises((RuntimeError, TypeError)) as ref:
+            ndimage.median_filter(a, size)
+        with pytest.raises(type(ref.value), match=str(ref.value)):
+            median2d(a, size)
 
     def test_median_clean_is_the_nearest_mode_median(self):
         disp = np.abs(np.random.default_rng(4).normal(10, 4, (45, 60)))
